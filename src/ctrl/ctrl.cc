@@ -1,6 +1,7 @@
 #include "ctrl/ctrl.hh"
 
 #include "common/logging.hh"
+#include "common/names.hh"
 #include "common/random.hh"
 
 namespace clumsy::ctrl
@@ -24,36 +25,26 @@ to_string(CtrlEventKind kind)
     return "?";
 }
 
+namespace
+{
+
+const EnumNames<CtrlMix, 4> kMixNames = {{CtrlMix::Fib, "fib"},
+                                         {CtrlMix::Nat, "nat"},
+                                         {CtrlMix::Session, "session"},
+                                         {CtrlMix::All, "all"}};
+
+} // namespace
+
 std::string
 to_string(CtrlMix mix)
 {
-    switch (mix) {
-    case CtrlMix::Fib:
-        return "fib";
-    case CtrlMix::Nat:
-        return "nat";
-    case CtrlMix::Session:
-        return "session";
-    case CtrlMix::All:
-        return "all";
-    }
-    return "?";
+    return nameOf(kMixNames, mix);
 }
 
 CtrlMix
 mixFromString(const std::string &name)
 {
-    if (name == "fib")
-        return CtrlMix::Fib;
-    if (name == "nat")
-        return CtrlMix::Nat;
-    if (name == "session")
-        return CtrlMix::Session;
-    if (name == "all")
-        return CtrlMix::All;
-    fatal("unknown ctrl mix '%s' (valid choices: fib, nat, session, "
-          "all)",
-          name.c_str());
+    return valueNamed(kMixNames, "ctrl mix", name);
 }
 
 namespace

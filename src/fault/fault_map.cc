@@ -69,20 +69,6 @@ cellKeyEqual(const WeakCell &a, const WeakCell &b)
 
 } // namespace
 
-std::string
-to_string(FaultMapMode mode)
-{
-    switch (mode) {
-      case FaultMapMode::Off:
-        return "off";
-      case FaultMapMode::Generated:
-        return "spatial";
-      case FaultMapMode::File:
-        return "file";
-    }
-    panic("unknown FaultMapMode");
-}
-
 FaultMapSpec
 faultMapSpecFromString(const std::string &value)
 {

@@ -156,9 +156,6 @@ struct FaultMapSpec
     }
 };
 
-/** Short name used by the sweep axis / CLI ("off", "spatial", path). */
-std::string to_string(FaultMapMode mode);
-
 /**
  * Parse a `faultmap=` axis / `--fault-map` flag value: "off",
  * "spatial" (seeded generation), or anything else as a map-file path.

@@ -353,25 +353,25 @@ runCardExperiment(const core::AppFactory &factory,
     CardExperimentResult result;
     result.golden = runCard(factory, config, npu, card, true, 0);
     std::vector<CardMetrics> faulty;
+    std::vector<core::RunMetrics> merged;
     faulty.reserve(config.trials);
-    unsigned fatals = 0;
+    merged.reserve(config.trials);
     for (unsigned t = 0; t < config.trials; ++t) {
         const CardRunResult run =
             runCard(factory, config, npu, card, false, t);
-        bool died = false;
-        for (const npu::ChipStreamResult &r : run.chips)
-            died = died || r.merged.fatal;
-        if (died)
-            ++fatals;
         faulty.push_back(run.card);
+        merged.push_back(mergeCardRunMetrics(run));
     }
-    result.faultyCard = faulty.empty() ? result.golden.card
-                                       : averageCardMetrics(faulty);
-    result.fatalFraction =
-        config.trials > 0
-            ? static_cast<double>(fatals) /
-                  static_cast<double>(config.trials)
-            : 0.0;
+    if (merged.empty()) {
+        result.faultyCard = result.golden.card;
+        return result;
+    }
+    result.core = core::aggregateTrials(
+        factory()->name(),
+        core::GoldenRecord{mergeCardRunMetrics(result.golden), {}}, merged);
+    result.faultyCard = averageCardMetrics(faulty);
+    // A merged trial is fatal when any of its chips died.
+    result.fatalFraction = result.core.fatalFraction;
     return result;
 }
 

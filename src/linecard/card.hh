@@ -22,8 +22,8 @@
  * lines live at physical offset c * memBytes (same bank mapping,
  * different rows), and an optional per-chip Cr vector models
  * voltage/process spread across the card. Chip 0 is unsalted: a
- * one-chip card with the DRAM model off is bit-identical to
- * clumsy_npu.
+ * one-chip card with the DRAM model off is bit-identical to the chip
+ * model alone.
  *
  * Parallelism (--card-jobs). Chips advance concurrently, one thread
  * per chip, throttled to the resolved job count by the fabric's
@@ -146,6 +146,9 @@ core::RunMetrics mergeCardRunMetrics(const CardRunResult &run);
 /** Aggregated outcome of golden + trials on one card. */
 struct CardExperimentResult
 {
+    /** Aggregates over the merged card metrics, as a sweep's card cell. */
+    core::ExperimentResult core;
+
     CardRunResult golden;
     CardMetrics faultyCard; ///< componentwise mean over trials
     double fatalFraction = 0.0; ///< trials in which any chip died

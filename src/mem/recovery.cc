@@ -43,14 +43,4 @@ to_string(RecoveryScheme scheme)
     panic("unreachable recovery scheme");
 }
 
-RecoveryScheme
-recoverySchemeFromString(const std::string &name)
-{
-    for (auto scheme : kAllRecoverySchemes) {
-        if (to_string(scheme) == name)
-            return scheme;
-    }
-    fatal("unknown recovery scheme '%s'", name.c_str());
-}
-
 } // namespace clumsy::mem

@@ -72,9 +72,6 @@ unsigned readAttempts(RecoveryScheme scheme);
 /** Human-readable name ("no detection", "one-strike", ...). */
 std::string to_string(RecoveryScheme scheme);
 
-/** Parse a name accepted by to_string(); fatal()s on junk. */
-RecoveryScheme recoverySchemeFromString(const std::string &name);
-
 } // namespace clumsy::mem
 
 #endif // CLUMSY_MEM_RECOVERY_HH

@@ -667,7 +667,6 @@ runChipOnce(const core::AppFactory &factory,
         maxDepth = std::max(maxDepth,
                             static_cast<double>(engines[pe].maxDepth));
     }
-    run.queueOcc = mergedOcc;
     chip.queueOccMean = mergedOcc.mean();
     chip.queueOccMax = maxDepth;
     chip.dropsQueueFull = static_cast<double>(dropsQueueFull);
@@ -952,7 +951,6 @@ runChipExperiment(const core::AppFactory &factory,
         app, core::GoldenRecord{golden.merged, {}}, trials);
     result.goldenChip = golden.chip;
     result.faultyChip = averageChipMetrics(chips);
-    result.goldenQueueOcc = golden.queueOcc;
     return result;
 }
 

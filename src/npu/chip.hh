@@ -188,9 +188,6 @@ struct ChipRun
 
     ChipMetrics chip;
 
-    /** Queue-depth distribution merged across engines. */
-    Histogram queueOcc{0.0, 1.0, 1};
-
     /** Per-engine marked-value frames (golden runs keep these). */
     std::vector<core::ValueRecorder> recorders;
 
@@ -218,9 +215,6 @@ struct ChipExperimentResult
 
     ChipMetrics goldenChip;
     ChipMetrics faultyChip; ///< componentwise mean over trials
-
-    /** Golden run's merged queue-depth distribution. */
-    Histogram goldenQueueOcc{0.0, 1.0, 1};
 };
 
 /** Componentwise mean, accumulated in the given (trial) order. */

@@ -1,87 +1,63 @@
 #include "npu/config.hh"
 
 #include "common/logging.hh"
+#include "common/names.hh"
 
 namespace clumsy::npu
 {
 
+namespace
+{
+
+const EnumNames<DispatchPolicy, 6> kDispatchNames = {
+    {DispatchPolicy::RoundRobin, "rr"},
+    {DispatchPolicy::FlowHash, "flow"},
+    {DispatchPolicy::ShortestQueue, "shortest"},
+    {DispatchPolicy::RoundRobin, "round-robin"},
+    {DispatchPolicy::FlowHash, "flow-hash"},
+    {DispatchPolicy::ShortestQueue, "shortest-queue"}};
+const EnumNames<DvsMode, 3> kDvsNames = {{DvsMode::Static, "static"},
+                                         {DvsMode::Fault, "fault"},
+                                         {DvsMode::Queue, "queue"}};
+const EnumNames<L2Mode, 2> kL2Names = {{L2Mode::Private, "private"},
+                                       {L2Mode::Shared, "shared"}};
+
+} // namespace
+
 std::string
 to_string(DispatchPolicy policy)
 {
-    switch (policy) {
-      case DispatchPolicy::RoundRobin:
-        return "rr";
-      case DispatchPolicy::FlowHash:
-        return "flow";
-      case DispatchPolicy::ShortestQueue:
-        return "shortest";
-    }
-    panic("unreachable dispatch policy");
+    return nameOf(kDispatchNames, policy);
 }
 
 DispatchPolicy
 dispatchFromString(const std::string &name)
 {
-    if (name == "rr" || name == "round-robin")
-        return DispatchPolicy::RoundRobin;
-    if (name == "flow" || name == "flow-hash")
-        return DispatchPolicy::FlowHash;
-    if (name == "shortest" || name == "shortest-queue")
-        return DispatchPolicy::ShortestQueue;
-    fatal("unknown dispatch policy '%s' (valid choices: rr, flow, "
-          "shortest)",
-          name.c_str());
+    return valueNamed(kDispatchNames, "dispatch policy", name);
 }
 
 std::string
 to_string(DvsMode mode)
 {
-    switch (mode) {
-      case DvsMode::Static:
-        return "static";
-      case DvsMode::Fault:
-        return "fault";
-      case DvsMode::Queue:
-        return "queue";
-    }
-    panic("unreachable dvs mode");
+    return nameOf(kDvsNames, mode);
 }
 
 DvsMode
 dvsFromString(const std::string &name)
 {
-    if (name == "static")
-        return DvsMode::Static;
-    if (name == "fault")
-        return DvsMode::Fault;
-    if (name == "queue")
-        return DvsMode::Queue;
-    fatal("unknown dvs mode '%s' (valid choices: static, fault, "
-          "queue)",
-          name.c_str());
+    return valueNamed(kDvsNames, "dvs mode", name);
 }
 
 std::string
 to_string(L2Mode mode)
 {
-    switch (mode) {
-      case L2Mode::Private:
-        return "private";
-      case L2Mode::Shared:
-        return "shared";
-    }
-    panic("unreachable L2 mode");
+    return nameOf(kL2Names, mode);
 }
 
 L2Mode
 l2ModeFromString(const std::string &name)
 {
-    if (name == "private")
-        return L2Mode::Private;
-    if (name == "shared")
-        return L2Mode::Shared;
-    fatal("unknown L2 mode '%s' (valid choices: private, shared)",
-          name.c_str());
+    return valueNamed(kL2Names, "L2 mode", name);
 }
 
 void

@@ -9,6 +9,8 @@
  * Writing is append-only into a growing string; the writer tracks
  * nesting solely to place commas, so malformed sequences are caught
  * by assertions rather than producing broken output.
+ *
+ * parseJson() reads such documents back (--resume).
  */
 
 #ifndef CLUMSY_SWEEP_JSON_HH
@@ -16,6 +18,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace clumsy::sweep
 {
@@ -39,10 +43,10 @@ class JsonWriter
     {
     }
 
-    JsonWriter &beginObject();
-    JsonWriter &endObject();
-    JsonWriter &beginArray();
-    JsonWriter &endArray();
+    JsonWriter &beginObject() { return open('{'); }
+    JsonWriter &endObject() { return close('}'); }
+    JsonWriter &beginArray() { return open('['); }
+    JsonWriter &endArray() { return close(']'); }
 
     /** Start a "key": inside the current object. */
     JsonWriter &key(const std::string &name);
@@ -68,7 +72,35 @@ class JsonWriter
 
     void separate();
     void newlineIndent();
+    JsonWriter &open(char bracket);
+    JsonWriter &close(char bracket);
 };
+
+/** A parsed JSON value; only what this library's documents contain. */
+struct JsonValue
+{
+    enum class Kind
+    {
+        Null,
+        Bool,
+        Num,
+        Str,
+        Arr,
+        Obj
+    };
+    Kind kind = Kind::Null;
+    bool b = false;
+    double num = 0.0;
+    std::string str;
+    std::vector<JsonValue> arr;
+    std::vector<std::pair<std::string, JsonValue>> obj;
+
+    /** The member named @p key of an object, or nullptr. */
+    const JsonValue *find(const std::string &key) const;
+};
+
+/** Parse one JSON document; fatal()s with the byte offset on junk. */
+JsonValue parseJson(const std::string &text);
 
 } // namespace clumsy::sweep
 

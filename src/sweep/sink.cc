@@ -3,10 +3,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "sweep/json.hh"
+#include "sweep/knobs.hh"
 
 namespace clumsy::sweep
 {
@@ -16,26 +19,39 @@ namespace
 
 // --- serialization ---------------------------------------------------
 
+/**
+ * Call @p f(name, member) on RunMetrics' scalar members in their JSON
+ * order; @p m may be const (writing) or not (reading).
+ */
+template <typename M, typename F>
+void
+forEachRunField(M &m, F f)
+{
+    f("packets_attempted", m.packetsAttempted);
+    f("packets_processed", m.packetsProcessed);
+    f("packets_with_error", m.packetsWithError);
+    f("fatal", m.fatal);
+    f("fatal_reason", m.fatalReason);
+    f("cycles_per_packet", m.cyclesPerPacket);
+    f("energy_per_packet_pj", m.energyPerPacketPj);
+    f("total_energy_pj", m.totalEnergyPj);
+    f("l1d_energy_pj", m.l1dEnergyPj);
+    f("instructions", m.instructions);
+    f("dcache_accesses", m.dcacheAccesses);
+    f("dcache_miss_rate", m.dcacheMissRate);
+    f("faults_injected", m.faultsInjected);
+    f("parity_trips", m.parityTrips);
+    f("ecc_corrections", m.eccCorrections);
+    f("freq_switches", m.freqSwitches);
+}
+
 void
 writeRunMetrics(JsonWriter &w, const core::RunMetrics &m)
 {
     w.beginObject();
-    w.key("packets_attempted").value(m.packetsAttempted);
-    w.key("packets_processed").value(m.packetsProcessed);
-    w.key("packets_with_error").value(m.packetsWithError);
-    w.key("fatal").value(m.fatal);
-    w.key("fatal_reason").value(m.fatalReason);
-    w.key("cycles_per_packet").value(m.cyclesPerPacket);
-    w.key("energy_per_packet_pj").value(m.energyPerPacketPj);
-    w.key("total_energy_pj").value(m.totalEnergyPj);
-    w.key("l1d_energy_pj").value(m.l1dEnergyPj);
-    w.key("instructions").value(m.instructions);
-    w.key("dcache_accesses").value(m.dcacheAccesses);
-    w.key("dcache_miss_rate").value(m.dcacheMissRate);
-    w.key("faults_injected").value(m.faultsInjected);
-    w.key("parity_trips").value(m.parityTrips);
-    w.key("ecc_corrections").value(m.eccCorrections);
-    w.key("freq_switches").value(m.freqSwitches);
+    forEachRunField(m, [&w](const char *name, const auto &v) {
+        w.key(name).value(v);
+    });
     // Elided at zero so pre-ctrl documents and rate-0 runs serialize
     // byte-identically to what earlier versions wrote.
     if (m.ctrlEventsApplied != 0)
@@ -47,87 +63,85 @@ writeRunMetrics(JsonWriter &w, const core::RunMetrics &m)
     w.endObject();
 }
 
-void
-writeChipMetrics(JsonWriter &w, const npu::ChipMetrics &m)
+/**
+ * The members of a metrics struct as its JSON object lists them:
+ * scalars first, then per-engine / per-chip arrays. Fields added after
+ * the first documents were written are optional when read back.
+ */
+template <typename M>
+struct MetricField
 {
-    w.beginObject();
-    w.key("makespan_cycles").value(m.makespanCycles);
-    w.key("throughput_pps").value(m.throughputPps);
-    w.key("load_imbalance").value(m.loadImbalance);
-    w.key("queue_occ_mean").value(m.queueOccMean);
-    w.key("queue_occ_max").value(m.queueOccMax);
-    w.key("drops_queue_full").value(m.dropsQueueFull);
-    w.key("drops_dead_pe").value(m.dropsDeadPe);
-    w.key("backpressure_stalls").value(m.backpressureStalls);
-    w.key("l2_port_waits").value(m.l2PortWaits);
-    w.key("l2_port_wait_cycles").value(m.l2PortWaitCycles);
-    w.key("cross_engine_hits").value(m.crossEngineHits);
-    w.key("cross_engine_hit_fraction").value(m.crossEngineHitFraction);
-    w.key("l2_evictions_by_other").value(m.l2EvictionsByOther);
-    w.key("mshr_merges").value(m.mshrMerges);
-    w.key("chip_edf").value(m.chipEdf);
-    w.key("pe_utilization").beginArray();
-    for (double v : m.peUtilization)
-        w.value(v);
-    w.endArray();
-    w.key("pe_packets").beginArray();
-    for (double v : m.pePackets)
-        w.value(v);
-    w.endArray();
-    w.key("pe_l2_hits").beginArray();
-    for (double v : m.peL2Hits)
-        w.value(v);
-    w.endArray();
-    w.key("pe_l2_misses").beginArray();
-    for (double v : m.peL2Misses)
-        w.value(v);
-    w.endArray();
-    w.key("pe_cr_final").beginArray();
-    for (double v : m.peCrFinal)
-        w.value(v);
-    w.endArray();
-    w.key("pe_cr_mean").beginArray();
-    for (double v : m.peCrMean)
-        w.value(v);
-    w.endArray();
-    w.key("pe_epochs").beginArray();
-    for (double v : m.peEpochs)
-        w.value(v);
-    w.endArray();
-    w.key("pe_steps_up").beginArray();
-    for (double v : m.peStepsUp)
-        w.value(v);
-    w.endArray();
-    w.key("pe_steps_down").beginArray();
-    for (double v : m.peStepsDown)
-        w.value(v);
-    w.endArray();
-    w.endObject();
-}
+    const char *name;
+    double M::*scalar = nullptr;
+    std::vector<double> M::*array = nullptr;
+    bool optional = false;
+};
 
+using npu::ChipMetrics;
+const MetricField<ChipMetrics> kChipFields[] = {
+    {"makespan_cycles", &ChipMetrics::makespanCycles},
+    {"throughput_pps", &ChipMetrics::throughputPps},
+    {"load_imbalance", &ChipMetrics::loadImbalance},
+    {"queue_occ_mean", &ChipMetrics::queueOccMean},
+    {"queue_occ_max", &ChipMetrics::queueOccMax},
+    {"drops_queue_full", &ChipMetrics::dropsQueueFull},
+    {"drops_dead_pe", &ChipMetrics::dropsDeadPe},
+    {"backpressure_stalls", &ChipMetrics::backpressureStalls},
+    {"l2_port_waits", &ChipMetrics::l2PortWaits},
+    {"l2_port_wait_cycles", &ChipMetrics::l2PortWaitCycles},
+    // Shared-L2 counters: newer than the first chip documents.
+    {"cross_engine_hits", &ChipMetrics::crossEngineHits, nullptr, true},
+    {"cross_engine_hit_fraction", &ChipMetrics::crossEngineHitFraction,
+     nullptr, true},
+    {"l2_evictions_by_other", &ChipMetrics::l2EvictionsByOther, nullptr,
+     true},
+    {"mshr_merges", &ChipMetrics::mshrMerges, nullptr, true},
+    {"chip_edf", &ChipMetrics::chipEdf},
+    {"pe_utilization", nullptr, &ChipMetrics::peUtilization},
+    {"pe_packets", nullptr, &ChipMetrics::pePackets},
+    {"pe_l2_hits", nullptr, &ChipMetrics::peL2Hits, true},
+    {"pe_l2_misses", nullptr, &ChipMetrics::peL2Misses, true},
+    // Per-PE DVS trajectories: newer than the first chip documents.
+    {"pe_cr_final", nullptr, &ChipMetrics::peCrFinal, true},
+    {"pe_cr_mean", nullptr, &ChipMetrics::peCrMean, true},
+    {"pe_epochs", nullptr, &ChipMetrics::peEpochs, true},
+    {"pe_steps_up", nullptr, &ChipMetrics::peStepsUp, true},
+    {"pe_steps_down", nullptr, &ChipMetrics::peStepsDown, true},
+};
+
+using linecard::CardMetrics;
+const MetricField<CardMetrics> kCardFields[] = {
+    {"makespan_cycles", &CardMetrics::makespanCycles},
+    {"throughput_pps", &CardMetrics::throughputPps},
+    {"load_imbalance", &CardMetrics::loadImbalance},
+    {"packets_processed", &CardMetrics::packetsProcessed},
+    {"ingress_drops", &CardMetrics::ingressDrops},
+    {"dram_accesses", &CardMetrics::dramAccesses},
+    {"dram_row_hits", &CardMetrics::dramRowHits},
+    {"dram_row_misses", &CardMetrics::dramRowMisses},
+    {"dram_row_conflicts", &CardMetrics::dramRowConflicts},
+    {"dram_row_hit_fraction", &CardMetrics::dramRowHitFraction},
+    {"dram_stall_cycles", &CardMetrics::dramStallCycles},
+    {"chip_packets", nullptr, &CardMetrics::chipPackets},
+    {"chip_makespan_cycles", nullptr, &CardMetrics::chipMakespanCycles},
+};
+
+template <typename M, std::size_t N>
 void
-writeCardMetrics(JsonWriter &w, const linecard::CardMetrics &m)
+writeMetrics(JsonWriter &w, const M &m, const MetricField<M> (&fields)[N])
 {
     w.beginObject();
-    w.key("makespan_cycles").value(m.makespanCycles);
-    w.key("throughput_pps").value(m.throughputPps);
-    w.key("load_imbalance").value(m.loadImbalance);
-    w.key("packets_processed").value(m.packetsProcessed);
-    w.key("ingress_drops").value(m.ingressDrops);
-    w.key("dram_accesses").value(m.dramAccesses);
-    w.key("dram_row_hits").value(m.dramRowHits);
-    w.key("dram_row_misses").value(m.dramRowMisses);
-    w.key("dram_row_conflicts").value(m.dramRowConflicts);
-    w.key("dram_row_hit_fraction").value(m.dramRowHitFraction);
-    w.key("dram_stall_cycles").value(m.dramStallCycles);
-    w.key("chip_packets").beginArray();
-    for (double v : m.chipPackets)
-        w.value(v);
-    w.endArray();
-    w.key("chip_makespan_cycles").beginArray();
-    for (double v : m.chipMakespanCycles)
-        w.value(v);
-    w.endArray();
+    for (const MetricField<M> &f : fields) {
+        w.key(f.name);
+        if (f.scalar) {
+            w.value(m.*f.scalar);
+            continue;
+        }
+        w.beginArray();
+        for (double v : m.*f.array)
+            w.value(v);
+        w.endArray();
+    }
     w.endObject();
 }
 
@@ -137,491 +151,102 @@ cellJson(const CellOutcome &out, bool provenance)
     JsonWriter w;
     w.beginObject();
     w.key("key").value(out.cell.key());
-    w.key("app").value(out.cell.app);
-    w.key("cr").value(out.cell.point.cr);
-    w.key("dynamic").value(out.cell.point.dynamic);
-    w.key("scheme").value(schemeName(out.cell.scheme));
-    w.key("codec").value(codecName(out.cell.codec));
-    w.key("plane").value(planeName(out.cell.plane));
-    w.key("fault_scale").value(out.cell.faultScale);
-    w.key("pes").value(static_cast<std::uint64_t>(out.cell.peCount));
-    w.key("dispatch").value(npu::to_string(out.cell.dispatch));
-    w.key("per_pe_cr")
-        .value(out.cell.perPeCr.empty() ? std::string("uniform")
-                                        : out.cell.perPeCr);
-    w.key("dvs").value(npu::to_string(out.cell.dvs));
-    w.key("mshrs").value(static_cast<std::uint64_t>(out.cell.mshrs));
-    w.key("l2").value(npu::to_string(out.cell.l2));
-    // Gaps are parsed non-negative; the uint cast is lossless.
-    w.key("gap").value(static_cast<std::uint64_t>(out.cell.arrivalGap));
-    w.key("chip_jobs")
-        .value(static_cast<std::uint64_t>(out.cell.chipJobs));
-    // Line-card dimensions only at non-default values, so documents
-    // from before the card tier existed parse and resume unchanged.
-    if (out.cell.chips != 1)
-        w.key("chips").value(
-            static_cast<std::uint64_t>(out.cell.chips));
-    if (out.cell.dramBanks != 0)
-        w.key("dram_banks").value(
-            static_cast<std::uint64_t>(out.cell.dramBanks));
-    if (out.cell.cardJobs != 1)
-        w.key("card_jobs").value(
-            static_cast<std::uint64_t>(out.cell.cardJobs));
-    // Traffic and control-plane dimensions only at non-default values:
-    // parseCell must reconstruct the exact cell key, and the elision
-    // keeps documents from before these axes byte-stable.
-    if (out.cell.flows != 0)
-        w.key("flows").value(
-            static_cast<std::uint64_t>(out.cell.flows));
-    if (out.cell.churn != 0)
-        w.key("churn").value(out.cell.churn);
-    if (out.cell.ctrlRate != 0) {
-        w.key("ctrl").value(
-            static_cast<std::uint64_t>(out.cell.ctrlRate));
-        w.key("updates").value(ctrl::to_string(out.cell.updates));
-    }
-    if (out.cell.faultMap != "off" && !out.cell.faultMap.empty())
-        w.key("faultmap").value(out.cell.faultMap);
-    if (out.cell.retire != 0)
-        w.key("retire").value(
-            static_cast<std::uint64_t>(out.cell.retire));
+    writeCellKnobs(w, out.cell);
     w.key("result").raw(experimentResultJson(out.result));
-    if (out.hasNpu) {
-        w.key("npu").beginObject();
-        w.key("golden");
-        writeChipMetrics(w, out.npuGolden);
-        w.key("faulty");
-        writeChipMetrics(w, out.npuFaulty);
-        w.endObject();
-    }
-    if (out.hasCard) {
-        w.key("card").beginObject();
-        w.key("golden");
-        writeCardMetrics(w, out.cardGolden);
-        w.key("faulty");
-        writeCardMetrics(w, out.cardFaulty);
-        w.endObject();
-    }
+    if (out.hasNpu)
+        w.key("npu").raw(goldenFaultyJson(chipMetricsJson(out.npuGolden),
+                                          chipMetricsJson(out.npuFaulty)));
+    if (out.hasCard)
+        w.key("card").raw(goldenFaultyJson(cardMetricsJson(out.cardGolden),
+                                           cardMetricsJson(out.cardFaulty)));
     if (provenance)
         w.key("wall_ms").value(out.wallMs);
     w.endObject();
     return w.str();
 }
 
-// --- minimal JSON parser (for --resume) ------------------------------
-
-/** Parsed JSON value; only what our own documents contain. */
-struct JVal
+/** Member @p key of @p obj; fatal()s when absent or not of @p kind. */
+const JsonValue &
+field(const JsonValue &obj, const char *key,
+      std::optional<JsonValue::Kind> kind = std::nullopt)
 {
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Num,
-        Str,
-        Arr,
-        Obj
-    };
-    Kind kind = Kind::Null;
-    bool b = false;
-    double num = 0.0;
-    std::string str;
-    std::vector<JVal> arr;
-    std::vector<std::pair<std::string, JVal>> obj;
-
-    const JVal *find(const std::string &key) const
-    {
-        for (const auto &kv : obj) {
-            if (kv.first == key)
-                return &kv.second;
-        }
-        return nullptr;
-    }
-};
-
-struct JsonParser
-{
-    const std::string &text;
-    std::size_t pos = 0;
-
-    [[noreturn]] void die(const char *what) const
-    {
-        fatal("sweep JSON parse error at byte %zu: %s", pos, what);
-    }
-
-    void skipWs()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\n' ||
-                text[pos] == '\t' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    char peek()
-    {
-        skipWs();
-        if (pos >= text.size())
-            die("unexpected end of input");
-        return text[pos];
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c)
-            die("unexpected character");
-        ++pos;
-    }
-
-    bool consume(char c)
-    {
-        if (peek() != c)
-            return false;
-        ++pos;
-        return true;
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos >= text.size())
-                die("dangling escape");
-            const char esc = text[pos++];
-            switch (esc) {
-              case '"':
-                out += '"';
-                break;
-              case '\\':
-                out += '\\';
-                break;
-              case '/':
-                out += '/';
-                break;
-              case 'n':
-                out += '\n';
-                break;
-              case 't':
-                out += '\t';
-                break;
-              case 'r':
-                out += '\r';
-                break;
-              case 'u': {
-                if (pos + 4 > text.size())
-                    die("short \\u escape");
-                const std::string hex = text.substr(pos, 4);
-                pos += 4;
-                out += static_cast<char>(
-                    std::strtoul(hex.c_str(), nullptr, 16));
-                break;
-              }
-              default:
-                die("unsupported escape");
-            }
-        }
-        if (pos >= text.size())
-            die("unterminated string");
-        ++pos; // closing quote
-        return out;
-    }
-
-    JVal parseValue()
-    {
-        JVal v;
-        const char c = peek();
-        if (c == '{') {
-            ++pos;
-            v.kind = JVal::Kind::Obj;
-            if (consume('}'))
-                return v;
-            for (;;) {
-                std::string key = parseString();
-                expect(':');
-                v.obj.emplace_back(std::move(key), parseValue());
-                if (consume('}'))
-                    return v;
-                expect(',');
-            }
-        }
-        if (c == '[') {
-            ++pos;
-            v.kind = JVal::Kind::Arr;
-            if (consume(']'))
-                return v;
-            for (;;) {
-                v.arr.push_back(parseValue());
-                if (consume(']'))
-                    return v;
-                expect(',');
-            }
-        }
-        if (c == '"') {
-            v.kind = JVal::Kind::Str;
-            v.str = parseString();
-            return v;
-        }
-        if (c == 't' || c == 'f') {
-            const std::string word = c == 't' ? "true" : "false";
-            if (text.compare(pos, word.size(), word) != 0)
-                die("bad literal");
-            pos += word.size();
-            v.kind = JVal::Kind::Bool;
-            v.b = c == 't';
-            return v;
-        }
-        if (c == 'n') {
-            if (text.compare(pos, 4, "null") != 0)
-                die("bad literal");
-            pos += 4;
-            return v;
-        }
-        // number
-        char *end = nullptr;
-        v.num = std::strtod(text.c_str() + pos, &end);
-        if (end == text.c_str() + pos)
-            die("expected a value");
-        pos = static_cast<std::size_t>(end - text.c_str());
-        v.kind = JVal::Kind::Num;
-        return v;
-    }
-};
-
-const JVal &
-field(const JVal &obj, const char *key)
-{
-    const JVal *v = obj.find(key);
+    const JsonValue *v = obj.find(key);
     if (!v)
         fatal("sweep JSON: missing field '%s'", key);
+    if (kind && v->kind != *kind)
+        fatal("sweep JSON: field '%s' has the wrong type", key);
     return *v;
 }
 
 double
-numField(const JVal &obj, const char *key)
+numField(const JsonValue &obj, const char *key)
 {
-    const JVal &v = field(obj, key);
-    if (v.kind != JVal::Kind::Num)
-        fatal("sweep JSON: field '%s' is not a number", key);
-    return v.num;
-}
-
-std::uint64_t
-u64Field(const JVal &obj, const char *key)
-{
-    return static_cast<std::uint64_t>(numField(obj, key));
-}
-
-std::string
-strField(const JVal &obj, const char *key)
-{
-    const JVal &v = field(obj, key);
-    if (v.kind != JVal::Kind::Str)
-        fatal("sweep JSON: field '%s' is not a string", key);
-    return v.str;
-}
-
-bool
-boolField(const JVal &obj, const char *key)
-{
-    const JVal &v = field(obj, key);
-    if (v.kind != JVal::Kind::Bool)
-        fatal("sweep JSON: field '%s' is not a bool", key);
-    return v.b;
+    return field(obj, key, JsonValue::Kind::Num).num;
 }
 
 core::RunMetrics
-parseRunMetrics(const JVal &o)
+parseRunMetrics(const JsonValue &o)
 {
     core::RunMetrics m;
-    m.packetsAttempted = u64Field(o, "packets_attempted");
-    m.packetsProcessed = u64Field(o, "packets_processed");
-    m.packetsWithError = u64Field(o, "packets_with_error");
-    m.fatal = boolField(o, "fatal");
-    m.fatalReason = strField(o, "fatal_reason");
-    m.cyclesPerPacket = numField(o, "cycles_per_packet");
-    m.energyPerPacketPj = numField(o, "energy_per_packet_pj");
-    m.totalEnergyPj = numField(o, "total_energy_pj");
-    m.l1dEnergyPj = numField(o, "l1d_energy_pj");
-    m.instructions = u64Field(o, "instructions");
-    m.dcacheAccesses = u64Field(o, "dcache_accesses");
-    m.dcacheMissRate = numField(o, "dcache_miss_rate");
-    m.faultsInjected = u64Field(o, "faults_injected");
-    m.parityTrips = u64Field(o, "parity_trips");
-    m.eccCorrections = u64Field(o, "ecc_corrections");
-    m.freqSwitches = u64Field(o, "freq_switches");
+    forEachRunField(m, [&o](const char *name, auto &v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, bool>)
+            v = field(o, name, JsonValue::Kind::Bool).b;
+        else if constexpr (std::is_same_v<T, std::string>)
+            v = field(o, name, JsonValue::Kind::Str).str;
+        else
+            v = static_cast<T>(numField(o, name));
+    });
     if (o.find("ctrl_events_applied"))
-        m.ctrlEventsApplied = u64Field(o, "ctrl_events_applied");
+        m.ctrlEventsApplied = static_cast<std::uint64_t>(
+            numField(o, "ctrl_events_applied"));
     for (const auto &kv : field(o, "errors_by_type").obj)
         m.errorsByType[kv.first] =
             static_cast<std::uint64_t>(kv.second.num);
     return m;
 }
 
-npu::ChipMetrics
-parseChipMetrics(const JVal &o)
+template <typename M, std::size_t N>
+M
+parseMetrics(const JsonValue &o, const MetricField<M> (&fields)[N])
 {
-    npu::ChipMetrics m;
-    m.makespanCycles = numField(o, "makespan_cycles");
-    m.throughputPps = numField(o, "throughput_pps");
-    m.loadImbalance = numField(o, "load_imbalance");
-    m.queueOccMean = numField(o, "queue_occ_mean");
-    m.queueOccMax = numField(o, "queue_occ_max");
-    m.dropsQueueFull = numField(o, "drops_queue_full");
-    m.dropsDeadPe = numField(o, "drops_dead_pe");
-    m.backpressureStalls = numField(o, "backpressure_stalls");
-    m.l2PortWaits = numField(o, "l2_port_waits");
-    m.l2PortWaitCycles = numField(o, "l2_port_wait_cycles");
-    // Shared-L2 counters: absent in chip documents written before the
-    // shared-contents model existed.
-    if (o.find("cross_engine_hits"))
-        m.crossEngineHits = numField(o, "cross_engine_hits");
-    if (o.find("cross_engine_hit_fraction"))
-        m.crossEngineHitFraction =
-            numField(o, "cross_engine_hit_fraction");
-    if (o.find("l2_evictions_by_other"))
-        m.l2EvictionsByOther = numField(o, "l2_evictions_by_other");
-    if (o.find("mshr_merges"))
-        m.mshrMerges = numField(o, "mshr_merges");
-    m.chipEdf = numField(o, "chip_edf");
-    for (const JVal &v : field(o, "pe_utilization").arr)
-        m.peUtilization.push_back(v.num);
-    for (const JVal &v : field(o, "pe_packets").arr)
-        m.pePackets.push_back(v.num);
-    if (const JVal *a = o.find("pe_l2_hits"))
-        for (const JVal &v : a->arr)
-            m.peL2Hits.push_back(v.num);
-    if (const JVal *a = o.find("pe_l2_misses"))
-        for (const JVal &v : a->arr)
-            m.peL2Misses.push_back(v.num);
-    // Trajectory arrays: absent in chip documents written before the
-    // per-PE DVS knobs existed.
-    if (const JVal *a = o.find("pe_cr_final"))
-        for (const JVal &v : a->arr)
-            m.peCrFinal.push_back(v.num);
-    if (const JVal *a = o.find("pe_cr_mean"))
-        for (const JVal &v : a->arr)
-            m.peCrMean.push_back(v.num);
-    if (const JVal *a = o.find("pe_epochs"))
-        for (const JVal &v : a->arr)
-            m.peEpochs.push_back(v.num);
-    if (const JVal *a = o.find("pe_steps_up"))
-        for (const JVal &v : a->arr)
-            m.peStepsUp.push_back(v.num);
-    if (const JVal *a = o.find("pe_steps_down"))
-        for (const JVal &v : a->arr)
-            m.peStepsDown.push_back(v.num);
-    return m;
-}
-
-linecard::CardMetrics
-parseCardMetrics(const JVal &o)
-{
-    linecard::CardMetrics m;
-    m.makespanCycles = numField(o, "makespan_cycles");
-    m.throughputPps = numField(o, "throughput_pps");
-    m.loadImbalance = numField(o, "load_imbalance");
-    m.packetsProcessed = numField(o, "packets_processed");
-    m.ingressDrops = numField(o, "ingress_drops");
-    m.dramAccesses = numField(o, "dram_accesses");
-    m.dramRowHits = numField(o, "dram_row_hits");
-    m.dramRowMisses = numField(o, "dram_row_misses");
-    m.dramRowConflicts = numField(o, "dram_row_conflicts");
-    m.dramRowHitFraction = numField(o, "dram_row_hit_fraction");
-    m.dramStallCycles = numField(o, "dram_stall_cycles");
-    for (const JVal &v : field(o, "chip_packets").arr)
-        m.chipPackets.push_back(v.num);
-    for (const JVal &v : field(o, "chip_makespan_cycles").arr)
-        m.chipMakespanCycles.push_back(v.num);
+    M m;
+    for (const MetricField<M> &f : fields) {
+        if (f.optional && !o.find(f.name))
+            continue;
+        if (f.scalar) {
+            m.*f.scalar = numField(o, f.name);
+            continue;
+        }
+        for (const JsonValue &v : field(o, f.name).arr)
+            (m.*f.array).push_back(v.num);
+    }
     return m;
 }
 
 CellOutcome
-parseCell(const JVal &o)
+parseCell(const JsonValue &o)
 {
     CellOutcome out;
-    out.cell.app = strField(o, "app");
-    out.cell.point.cr = numField(o, "cr");
-    out.cell.point.dynamic = boolField(o, "dynamic");
-    out.cell.scheme = schemeFromName(strField(o, "scheme"));
-    out.cell.codec = codecFromString(strField(o, "codec"));
-    out.cell.plane = planeFromString(strField(o, "plane"));
-    out.cell.faultScale = numField(o, "fault_scale");
-    // Chip dimensions: absent in documents written before the npu
-    // subsystem, which described plain single-engine cells.
-    if (o.find("pes"))
-        out.cell.peCount = static_cast<unsigned>(numField(o, "pes"));
-    if (o.find("dispatch"))
-        out.cell.dispatch =
-            npu::dispatchFromString(strField(o, "dispatch"));
-    if (o.find("per_pe_cr")) {
-        const std::string ppc = strField(o, "per_pe_cr");
-        out.cell.perPeCr = ppc == "uniform" ? "" : ppc;
-    }
-    // dvs/mshrs: absent in documents written before those knobs.
-    if (o.find("dvs"))
-        out.cell.dvs = npu::dvsFromString(strField(o, "dvs"));
-    if (o.find("mshrs"))
-        out.cell.mshrs = static_cast<unsigned>(numField(o, "mshrs"));
-    if (o.find("l2"))
-        out.cell.l2 = npu::l2ModeFromString(strField(o, "l2"));
-    // gap/chip_jobs: absent in documents written before those axes.
-    if (o.find("gap"))
-        out.cell.arrivalGap =
-            static_cast<std::int64_t>(numField(o, "gap"));
-    if (o.find("chip_jobs"))
-        out.cell.chipJobs =
-            static_cast<unsigned>(numField(o, "chip_jobs"));
-    // chips/dram_banks/card_jobs: written only at non-default values
-    // (and absent in documents from before the card tier existed).
-    if (o.find("chips"))
-        out.cell.chips = static_cast<unsigned>(numField(o, "chips"));
-    if (o.find("dram_banks"))
-        out.cell.dramBanks =
-            static_cast<unsigned>(numField(o, "dram_banks"));
-    if (o.find("card_jobs"))
-        out.cell.cardJobs =
-            static_cast<unsigned>(numField(o, "card_jobs"));
-    // flows/churn/ctrl/updates: written only at non-default values
-    // (and absent in documents from before those axes existed).
-    if (o.find("flows"))
-        out.cell.flows =
-            static_cast<std::uint32_t>(numField(o, "flows"));
-    if (o.find("churn"))
-        out.cell.churn =
-            static_cast<std::uint64_t>(numField(o, "churn"));
-    if (o.find("ctrl"))
-        out.cell.ctrlRate =
-            static_cast<std::uint32_t>(numField(o, "ctrl"));
-    if (o.find("updates"))
-        out.cell.updates = ctrl::mixFromString(strField(o, "updates"));
-    if (o.find("faultmap"))
-        out.cell.faultMap = strField(o, "faultmap");
-    if (o.find("retire"))
-        out.cell.retire =
-            static_cast<unsigned>(numField(o, "retire"));
-    if (const JVal *chip = o.find("npu")) {
+    out.cell = cellFromKey(field(o, "key", JsonValue::Kind::Str).str);
+    if (const JsonValue *chip = o.find("npu")) {
         out.hasNpu = true;
-        out.npuGolden = parseChipMetrics(field(*chip, "golden"));
-        out.npuFaulty = parseChipMetrics(field(*chip, "faulty"));
+        out.npuGolden = parseMetrics(field(*chip, "golden"), kChipFields);
+        out.npuFaulty = parseMetrics(field(*chip, "faulty"), kChipFields);
     }
-    if (const JVal *card = o.find("card")) {
+    if (const JsonValue *card = o.find("card")) {
         out.hasCard = true;
-        out.cardGolden = parseCardMetrics(field(*card, "golden"));
-        out.cardFaulty = parseCardMetrics(field(*card, "faulty"));
+        out.cardGolden = parseMetrics(field(*card, "golden"), kCardFields);
+        out.cardFaulty = parseMetrics(field(*card, "faulty"), kCardFields);
     }
-    if (const JVal *wall = o.find("wall_ms"))
+    if (const JsonValue *wall = o.find("wall_ms"))
         out.wallMs = wall->num;
 
-    const JVal &res = field(o, "result");
+    const JsonValue &res = field(o, "result");
     out.result.app = out.cell.app;
     out.result.golden = parseRunMetrics(field(res, "golden"));
     out.result.faulty = parseRunMetrics(field(res, "faulty_last"));
-    const JVal &agg = field(res, "aggregate");
+    const JsonValue &agg = field(res, "aggregate");
     out.result.anyErrorProb = numField(agg, "any_error_prob");
     out.result.fatalProb = numField(agg, "fatal_prob");
     out.result.fatalFraction = numField(agg, "fatal_fraction");
@@ -670,7 +295,7 @@ std::string
 chipMetricsJson(const npu::ChipMetrics &metrics)
 {
     JsonWriter w;
-    writeChipMetrics(w, metrics);
+    writeMetrics(w, metrics, kChipFields);
     return w.str();
 }
 
@@ -678,8 +303,14 @@ std::string
 cardMetricsJson(const linecard::CardMetrics &metrics)
 {
     JsonWriter w;
-    writeCardMetrics(w, metrics);
+    writeMetrics(w, metrics, kCardFields);
     return w.str();
+}
+
+std::string
+goldenFaultyJson(const std::string &golden, const std::string &faulty)
+{
+    return "{\"golden\": " + golden + ", \"faulty\": " + faulty + "}";
 }
 
 std::string
@@ -721,41 +352,15 @@ std::string
 renderCsv(const SweepOutcome &outcome)
 {
     std::string out =
-        "app,cr,dynamic,scheme,codec,plane,fault_scale,pes,dispatch,"
-        "per_pe_cr,dvs,mshrs,l2,gap,chip_jobs,chips,dram_banks,"
-        "card_jobs,flows,churn,ctrl,"
-        "updates,faultmap,retire,fallibility,"
+        csvKnobHeader() +
+        ",fallibility,"
         "any_error_prob,fatal_prob,fatal_fraction,cycles_per_packet,"
         "energy_per_packet_pj,l1d_energy_per_packet_pj,edf,"
         "golden_cycles_per_packet,golden_energy_per_packet_pj,"
         "golden_dcache_miss_rate,wall_ms\n";
     for (const CellOutcome &c : outcome.cells) {
         const core::ExperimentResult &r = c.result;
-        out += c.cell.app;
-        out += "," + formatDouble(c.cell.point.cr);
-        out += c.cell.point.dynamic ? ",1" : ",0";
-        out += "," + schemeName(c.cell.scheme);
-        out += "," + codecName(c.cell.codec);
-        out += "," + planeName(c.cell.plane);
-        out += "," + formatDouble(c.cell.faultScale);
-        out += "," + std::to_string(c.cell.peCount);
-        out += "," + npu::to_string(c.cell.dispatch);
-        out += ",";
-        out += c.cell.perPeCr.empty() ? "uniform" : c.cell.perPeCr;
-        out += "," + npu::to_string(c.cell.dvs);
-        out += "," + std::to_string(c.cell.mshrs);
-        out += "," + npu::to_string(c.cell.l2);
-        out += "," + std::to_string(c.cell.arrivalGap);
-        out += "," + std::to_string(c.cell.chipJobs);
-        out += "," + std::to_string(c.cell.chips);
-        out += "," + std::to_string(c.cell.dramBanks);
-        out += "," + std::to_string(c.cell.cardJobs);
-        out += "," + std::to_string(c.cell.flows);
-        out += "," + std::to_string(c.cell.churn);
-        out += "," + std::to_string(c.cell.ctrlRate);
-        out += "," + ctrl::to_string(c.cell.updates);
-        out += "," + (c.cell.faultMap.empty() ? "off" : c.cell.faultMap);
-        out += "," + std::to_string(c.cell.retire);
+        out += csvKnobFields(c.cell);
         out += "," + formatDouble(r.fallibility);
         out += "," + formatDouble(r.anyErrorProb);
         out += "," + formatDouble(r.fatalProb);
@@ -783,23 +388,21 @@ loadCompletedCells(const std::string &path)
     buf << in.rdbuf();
     const std::string text = buf.str();
 
-    JsonParser parser{text};
-    const JVal doc = parser.parseValue();
-    if (doc.kind != JVal::Kind::Obj)
+    const JsonValue doc = parseJson(text);
+    if (doc.kind != JsonValue::Kind::Obj)
         fatal("%s: not a JSON object", path.c_str());
-    const JVal *format = doc.find("format");
+    const JsonValue *format = doc.find("format");
     if (!format || format->str != "clumsy-sweep-v1")
         fatal("%s: not a clumsy-sweep-v1 document", path.c_str());
 
     std::map<std::string, CellOutcome> cells;
-    for (const JVal &entry : field(doc, "results").arr) {
+    for (const JsonValue &entry : field(doc, "results").arr) {
         CellOutcome out = parseCell(entry);
-        const std::string storedKey = strField(entry, "key");
-        const std::string derivedKey = out.cell.key();
-        if (storedKey != derivedKey)
-            fatal("%s: stored key '%s' does not match its fields",
-                  path.c_str(), storedKey.c_str());
-        cells.emplace(derivedKey, std::move(out));
+        const std::string key = out.cell.key();
+        if (entry.find("key")->str != key)
+            fatal("%s: stored key '%s' is not canonical", path.c_str(),
+                  entry.find("key")->str.c_str());
+        cells.emplace(key, std::move(out));
     }
     return cells;
 }

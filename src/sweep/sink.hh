@@ -56,17 +56,18 @@ std::string renderCsv(const SweepOutcome &outcome);
  */
 std::string experimentResultJson(const core::ExperimentResult &res);
 
-/**
- * Serialize one ChipMetrics as a compact JSON object. Shared with
- * clumsy_npu --json so both emitters stay field-for-field identical.
- */
+/** One ChipMetrics as a compact JSON object (also clumsy_sim's). */
 std::string chipMetricsJson(const npu::ChipMetrics &metrics);
 
-/**
- * Serialize one CardMetrics as a compact JSON object. Shared with
- * clumsy_card --json so both emitters stay field-for-field identical.
- */
+/** One CardMetrics as a compact JSON object (also clumsy_sim's). */
 std::string cardMetricsJson(const linecard::CardMetrics &metrics);
+
+/**
+ * {"golden": G, "faulty": F} around two rendered metrics objects: the
+ * "npu" and "card" members of a cell.
+ */
+std::string goldenFaultyJson(const std::string &golden,
+                             const std::string &faulty);
 
 /** Zero-padded 16-digit lowercase hex (for value digests). */
 std::string hexU64(std::uint64_t v);

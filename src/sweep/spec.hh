@@ -2,20 +2,23 @@
  * @file
  * Declarative experiment-grid specification for the sweep engine.
  *
- * A SweepSpec is the cartesian product of up to six swept dimensions
- * (application, operating point, recovery scheme, check codec, fault
- * plane, fault-rate scale) plus the scalar knobs shared by every cell
- * (packets, trials, trace seed, fault seed). It round-trips through a
- * compact grid string:
+ * A SweepSpec is the cartesian product of the swept dimensions (app,
+ * operating point, recovery scheme, ... — one axis per grid key of the
+ * knob table, sweep/knobs.hh) plus the scalar knobs shared by every
+ * cell (packets, trials, seeds). It round-trips through a compact grid
+ * string:
  *
  *   app=route,md5;cr=1,0.5,dynamic;scheme=two-strike;trials=8
  *
  * Dimensions omitted from the string keep their single-value
  * defaults, so the paper's full Table I / Figures 9-12 grids and a
  * one-cell smoke run are expressed in the same language. Expansion
- * order is fixed (the nesting order of the fields below), which gives
- * every cell a stable index and canonical key — the anchor for the
- * deterministic reduction and for --resume.
+ * order is fixed (the knob table's order, outermost first), which
+ * gives every cell a stable index and canonical key — the anchor for
+ * the deterministic reduction and for --resume.
+ *
+ * A SweepCell is one configuration: every knob's value, including the
+ * knobs only clumsy_sim sets (they keep their defaults in a sweep).
  */
 
 #ifndef CLUMSY_SWEEP_SPEC_HH
@@ -27,6 +30,7 @@
 
 #include "core/experiment.hh"
 #include "ctrl/ctrl.hh"
+#include "dram/dram.hh"
 #include "linecard/card.hh"
 #include "mem/cache.hh"
 #include "mem/recovery.hh"
@@ -44,13 +48,12 @@ struct OperatingPoint
     bool operator==(const OperatingPoint &) const = default;
 };
 
-/** Canonical text for an operating point ("0.5" or "dynamic"). */
-std::string to_string(const OperatingPoint &point);
-
 /** The declarative grid. */
 struct SweepSpec
 {
-    // Swept dimensions, in expansion-nesting order (outermost first).
+    // One value list per grid axis of the knob table (sweep/knobs.cc),
+    // in expansion-nesting order, outermost first. Each default keeps
+    // results byte-identical to sweeps from before the axis existed.
     std::vector<std::string> apps; ///< parse() defaults to all apps
     std::vector<OperatingPoint> points = {OperatingPoint{}};
     std::vector<mem::RecoveryScheme> schemes = {
@@ -58,109 +61,39 @@ struct SweepSpec
     std::vector<mem::CheckCodec> codecs = {mem::CheckCodec::Parity};
     std::vector<core::FaultPlane> planes = {core::FaultPlane::Both};
     std::vector<double> faultScales = {1.0};
-
-    // Chip dimensions (src/npu/). The defaults describe a plain
-    // single-engine chip, which the runner executes through the
-    // single-core harness — identical results to a pre-npu sweep.
     std::vector<unsigned> peCounts = {1};
     std::vector<npu::DispatchPolicy> dispatches = {
         npu::DispatchPolicy::RoundRobin};
-    /**
-     * Per-engine Cr assignments: each entry is a colon-separated Cr
-     * list ("1:0.5:0.5:0.25"), or "" (spelled "uniform" in grid
-     * strings) for every engine at the cell's Cr.
-     */
-    std::vector<std::string> perPeCrs = {""};
-
-    /** Per-engine frequency adaptation modes (static/fault/queue). */
+    std::vector<std::string> perPeCrs = {""}; ///< "" = uniform
     std::vector<npu::DvsMode> dvsModes = {npu::DvsMode::Fault};
-
-    /** Shared-L2 port MSHR counts. */
     std::vector<unsigned> mshrs = {1};
-
-    /** L2 contents models (private / shared). */
     std::vector<npu::L2Mode> l2Modes = {npu::L2Mode::Private};
-
-    /**
-     * Offered-load inter-arrival gaps, base cycles per packet
-     * (NpuConfig::arrivalGapCycles). 0 = saturated input. A non-zero
-     * gap routes the cell through the chip model.
-     */
-    std::vector<std::int64_t> arrivalGaps = {0};
-
-    /**
-     * Chip-jobs values (NpuConfig::chipJobs): worker threads one chip
-     * run may use, clamped by the runner so sweep jobs times chip
-     * jobs never oversubscribes. Results are byte-identical across
-     * values — this axis moves wall-clock, not physics.
-     */
-    std::vector<unsigned> chipJobs = {1};
-
-    /**
-     * Line-card dimensions (src/linecard/): chip counts behind the
-     * inter-chip dispatcher, shared-DRAM bank counts (0 = analytical
-     * DRAM model off, the historical flat-penalty behaviour) and
-     * card-jobs values (inter-chip worker threads, byte-identical
-     * across values like chip-jobs). The all-default column routes
-     * the cell through the chip or single-core harness unchanged.
-     */
+    std::vector<std::int64_t> arrivalGaps = {0}; ///< 0 = saturated
+    std::vector<unsigned> chipJobs = {1}; ///< host threads, not physics
     std::vector<unsigned> chips = {1};
-    std::vector<unsigned> dramBanks = {0};
-    std::vector<unsigned> cardJobs = {1};
-
-    /**
-     * Traffic-model dimensions (src/traffic/): flow-population
-     * overrides (0 = the app's own default) and churn mean flow
-     * lifetimes in packets (0 = the app's own churn setting; nonzero
-     * forces the churn model on). Orthogonal to the harness choice —
-     * both the single-core and chip paths stream from the same
-     * traffic::PacketSource.
-     */
-    std::vector<std::uint32_t> flows = {0};
-    std::vector<std::uint64_t> churns = {0};
-
-    /**
-     * Fault-map dimensions (src/fault/fault_map.hh): map selections
-     * ("off" = uniform eq. (4) faults, "spatial" = the seeded
-     * generation model, anything else = a map-file path) and
-     * way-disable retire thresholds (0 = off). Both default to the
-     * historical uniform/no-retire behaviour so every pre-faultmap
-     * result stays byte-identical.
-     */
+    std::vector<unsigned> dramBanks = {0}; ///< 0 = bank model off
+    std::vector<unsigned> cardJobs = {1}; ///< host threads, not physics
+    std::vector<std::uint32_t> flows = {0}; ///< 0 = the app's own
+    std::vector<std::uint64_t> churns = {0}; ///< 0 = the app's own
     std::vector<std::string> faultMaps = {"off"};
     std::vector<unsigned> retires = {0};
-
-    /**
-     * Control-plane churn dimensions (src/ctrl/): update rates in
-     * events per 1000 packets (0 = no control plane, the default that
-     * keeps every run bit-identical to a pre-ctrl sweep) and the event
-     * mix each rate draws from. Both harnesses interleave the same
-     * stream, so the axes compose with every chip dimension.
-     */
-    std::vector<std::uint32_t> ctrlRates = {0};
+    std::vector<std::uint32_t> ctrlRates = {0}; ///< 0 = no control plane
     std::vector<ctrl::CtrlMix> updateMixes = {ctrl::CtrlMix::All};
 
-    // Scalar knobs shared by every cell.
+    // Scalar knobs shared by every cell. The fault map's generation
+    // seed is one of them: the map is the silicon under test, the same
+    // in every cell, while faultSeed varies which weak cells fire.
     std::uint64_t packets = 2000;
     unsigned trials = 4;
     std::uint64_t traceSeed = 1;
     std::uint64_t faultSeed = 0x5eed;
-
-    /**
-     * Generation seed for faultmap=spatial cells. A scalar, not an
-     * axis: the map is the silicon under test, identical in every
-     * cell, while faultSeed varies which weak cells get exercised.
-     */
     std::uint64_t mapSeed = 0xfa17;
 
     /**
      * Parse a grid string (semicolon-separated key=value,value,...
-     * pairs). Keys: app, cr, scheme, codec, plane, fault-scale,
-     * pes, dispatch, per-pe-cr, dvs, mshrs, l2, gap, chip-jobs,
-     * chips, dram-banks, card-jobs, flows, churn, faultmap, retire,
-     * ctrl, updates, packets, trials, seed, fault-seed, map-seed.
-     * "app=all" / "scheme=all" expand to the full sets. fatal()s on
-     * unknown keys or values.
+     * pairs; the keys are the knob table's grid keys). "app=all" /
+     * "scheme=all" expand to the full sets. fatal()s on unknown keys,
+     * on bad values and on any cell that checkCell() rejects.
      */
     static SweepSpec parse(const std::string &grid);
 
@@ -174,7 +107,7 @@ struct SweepSpec
     std::size_t cellCount() const;
 };
 
-/** One point of the expanded grid. */
+/** One point of the expanded grid, or one clumsy_sim run. */
 struct SweepCell
 {
     std::size_t index = 0; ///< position in expansion order
@@ -202,39 +135,37 @@ struct SweepCell
     std::uint32_t ctrlRate = 0;  ///< ctrl events per 1000 pkts (0 = off)
     ctrl::CtrlMix updates = ctrl::CtrlMix::All; ///< event mix at ctrl>0
 
-    /**
-     * @return true when the cell needs the chip model: anything but
-     * the default single-engine round-robin uniform fault-mode
-     * single-MSHR private-L2 saturated-serial configuration.
-     */
-    bool isNpu() const
-    {
-        return peCount != 1 ||
-               dispatch != npu::DispatchPolicy::RoundRobin ||
-               !perPeCr.empty() || dvs != npu::DvsMode::Fault ||
-               mshrs != 1 || l2 != npu::L2Mode::Private ||
-               arrivalGap != 0 || chipJobs != 1;
-    }
+    // Knobs with no grid key: clumsy_sim sets them, a sweep keeps
+    // these defaults.
+    bool subblock = false;         ///< sub-block strike recovery
+    unsigned queueCap = 16;        ///< per-engine input queue slots
+    bool drop = false;             ///< drop when the queue is full
+    bool flowRehash = false;       ///< rehash flows off dead engines
+    npu::DispatchPolicy cardDispatch = npu::DispatchPolicy::RoundRobin;
+    std::string perChipCr;         ///< colon-separated; "" = uniform
+    std::uint32_t dramRowBytes = dram::DramConfig{}.rowBytes;
+    std::int64_t dramHit = dram::DramConfig{}.rowHitCycles;
+    std::int64_t dramMiss = dram::DramConfig{}.rowMissCycles;
+    std::int64_t dramConflict = dram::DramConfig{}.rowConflictCycles;
+    unsigned ingressCap = 0;       ///< per-chip ingress FIFO (0 = none)
+    double flowZipf = -1.0;        ///< Zipf skew (< 0 = the app's own)
+    std::uint32_t sessionCapacity = 1024;  ///< session app table slots
+    std::uint32_t sessionTimeout = 4096;   ///< session idle timeout
 
-    /**
-     * @return true when the cell needs the line-card tier: more than
-     * one chip, the DRAM model on, or a non-serial card-jobs value.
-     */
-    bool isCard() const
-    {
-        return chips != 1 || dramBanks != 0 || cardJobs != 1;
-    }
+    /** @return true when any chip-group knob is off its default. */
+    bool isNpu() const;
+
+    /** @return true when any card-group knob is off its default. */
+    bool isCard() const;
 
     /**
      * Stable identity of the cell within any spec that contains it:
      * "app=crc;cr=0.5;scheme=two-strike;codec=parity;plane=both;
-     * fault-scale=1". Cells using the chip model append
-     * ";pes=N;dispatch=D;per-pe-cr=X", plus ";dvs=M", ";mshrs=K",
-     * ";l2=shared", ";gap=G" and ";chip-jobs=J" only at non-default
-     * values; plain single-engine cells keep the historical
-     * six-dimension key. The elisions let result files written before
-     * the newer dimensions existed resume cleanly. Used as the JSON
-     * result key and by --resume.
+     * fault-scale=1", then the other grid knobs in table order. The
+     * knob table decides which appear (most only at non-default
+     * values), so result files written before a knob existed keep
+     * resuming against unchanged keys. Used as the JSON result key
+     * and by --resume.
      */
     std::string key() const;
 };
@@ -255,28 +186,17 @@ npu::NpuConfig makeNpuConfig(const SweepCell &cell);
 
 /**
  * The line-card configuration of a cell (meaningful when
- * cell.isCard()): chips behind a round-robin card dispatcher sharing
- * a dramBanks-bank DRAM, advanced by cardJobs workers.
+ * cell.isCard()): chips behind the card dispatcher sharing a
+ * dramBanks-bank DRAM, advanced by cardJobs workers.
  */
 linecard::CardConfig makeCardConfig(const SweepCell &cell);
 
-/** Dash-form scheme name usable inside keys ("no-detection"). */
-std::string schemeName(mem::RecoveryScheme scheme);
-
-/** Parse a scheme name (dash or space form); fatal()s on junk. */
-mem::RecoveryScheme schemeFromName(const std::string &name);
-
-/** Canonical codec name ("parity" / "secded"). */
-std::string codecName(mem::CheckCodec codec);
-
-/** Parse a codec name; fatal()s on junk. */
-mem::CheckCodec codecFromString(const std::string &name);
-
-/** Canonical plane name ("both" / "control" / "data"). */
-std::string planeName(core::FaultPlane plane);
-
-/** Parse a plane name; fatal()s on junk. */
-core::FaultPlane planeFromString(const std::string &name);
+/**
+ * The checks that span knobs (Cr lists vs. pes / chips, DRAM latency
+ * order even with the bank model off), run where a configuration is
+ * built; single-knob ranges are the table's. fatal()s on a bad cell.
+ */
+void checkCell(const SweepCell &cell);
 
 /** Shortest round-trip decimal text for a double ("0.5", "1"). */
 std::string formatDouble(double v);

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,6 +50,17 @@ struct GoldenCase
     bool drop; ///< true: drop mode (queue-full drops); false:
                ///< backpressure (stall accounting)
 };
+
+/**
+ * Print a case by its stem. Without this gtest dumps the struct's raw
+ * bytes, pointers included, so the registered test names would change
+ * with the load address on every discovery.
+ */
+void
+PrintTo(const GoldenCase &gc, std::ostream *os)
+{
+    *os << gc.name;
+}
 
 const GoldenCase kCases[] = {
     {"route_s1", "route", 1, 0x5eed, true},

@@ -1,16 +1,18 @@
 /**
  * @file
- * clumsy_sim: command-line driver for the simulator.
+ * clumsy_sim: one run of the simulator, on any tier.
  *
- * Run any workload under any operating point and print the full
- * result set (golden stats, fallibility, energy, fatal hazard, error
- * breakdown), dump or replay packet traces, and inspect raw
- * simulator counters.
+ * Runs one workload under one configuration and prints the full
+ * result set. The flags are the knob table's (sweep/knobs.hh), and
+ * they pick the tier: any chip knob off its default runs the chip
+ * model (src/npu/), any card knob the line card (src/linecard/), each
+ * adding its own metrics. It also dumps and replays packet traces.
  *
  *   clumsy_sim --app route --cr 0.5 --scheme two-strike
  *   clumsy_sim --app md5 --dynamic --packets 5000 --trials 8
- *   clumsy_sim --app url --codec secded --stats
  *   clumsy_sim --app nat --cr 0.5 --json
+ *   clumsy_sim --app route --pes 4 --l2 shared --dispatch flow
+ *   clumsy_sim --app lpm --chips 4 --pes 2 --dram-banks 4 --json
  *   clumsy_sim --app crc --dump-trace crc.trace --packets 1000
  *   clumsy_sim --app crc --replay crc.trace --cr 0.25
  */
@@ -26,10 +28,11 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/experiment.hh"
-#include "ctrl/ctrl.hh"
-#include "net/trace_gen.hh"
+#include "linecard/card.hh"
 #include "net/trace_io.hh"
+#include "npu/chip.hh"
 #include "sweep/json.hh"
+#include "sweep/knobs.hh"
 #include "sweep/sink.hh"
 #include "sweep/spec.hh"
 #include "traffic/traffic.hh"
@@ -99,244 +102,65 @@ replay(const core::AppFactory &factory, const std::string &path,
     return proc.fatalOccurred() ? 1 : 0;
 }
 
-/** Machine-readable output: config + the sweep result serializer. */
-void
-printJson(const std::string &app, const core::ExperimentConfig &cfg,
-          const core::ExperimentResult &res)
+/** Stream the app's trace straight to disk and exit. */
+int
+dumpTrace(const core::AppFactory &factory,
+          const core::ExperimentConfig &cfg, const std::string &path)
 {
-    std::string out = "{\n";
-    out += "  \"app\": \"" + sweep::jsonEscape(app) + "\",\n";
-    out += "  \"cr\": " + sweep::jsonNumber(cfg.cr) + ",\n";
-    out += std::string("  \"dynamic\": ") +
-           (cfg.dynamicFrequency ? "true" : "false") + ",\n";
-    out += "  \"scheme\": \"" + sweep::schemeName(cfg.scheme) + "\",\n";
-    out += "  \"codec\": \"" +
-           sweep::codecName(cfg.processor.hierarchy.codec) + "\",\n";
-    out += "  \"plane\": \"" + sweep::planeName(cfg.plane) + "\",\n";
-    out += "  \"fault_scale\": " + sweep::jsonNumber(cfg.faultScale) +
-           ",\n";
-    // Echoed only when on, so off-mode JSON stays byte-identical to
-    // pre-faultmap output (same contract as the ctrl block below).
-    if (cfg.processor.faultMap.enabled()) {
-        const auto &fm = cfg.processor.faultMap;
-        out += "  \"fault_map\": \"" +
-               sweep::jsonEscape(fm.mode == fault::FaultMapMode::File
-                                     ? fm.path
-                                     : fault::to_string(fm.mode)) +
-               "\",\n";
-        out += "  \"map_seed\": " + std::to_string(fm.seed) + ",\n";
-    }
-    if (cfg.processor.hierarchy.wayDisable.enabled())
-        out += "  \"way_retire\": " +
-               std::to_string(
-                   cfg.processor.hierarchy.wayDisable.retireThreshold) +
-               ",\n";
-    if (cfg.ctrl.rate != 0) {
-        out += "  \"ctrl\": " + std::to_string(cfg.ctrl.rate) + ",\n";
-        out += "  \"updates\": \"" + ctrl::to_string(cfg.ctrl.mix) +
-               "\",\n";
-    }
-    out += "  \"packets\": " + std::to_string(cfg.numPackets) + ",\n";
-    out += "  \"trials\": " + std::to_string(cfg.trials) + ",\n";
-    out += "  \"seed\": " + std::to_string(cfg.traceSeed) + ",\n";
-    out += "  \"fault_seed\": " + std::to_string(cfg.faultSeed) + ",\n";
-    out += "  \"result\": " + sweep::experimentResultJson(res) + "\n";
-    out += "}\n";
-    std::fputs(out.c_str(), stdout);
+    // Packet counts beyond memory are fine, exactly like the
+    // harnesses' own sources.
+    const auto probe = factory();
+    const auto src =
+        traffic::makeSource(core::resolveTraceConfig(cfg, *probe), 0);
+    std::ofstream os(path);
+    if (!os)
+        fatal("cannot write trace file '%s'", path.c_str());
+    net::writeTraceHeader(os);
+    for (std::uint64_t i = 0; i < cfg.numPackets; ++i)
+        net::writePacket(os, src->next());
+    if (!os.flush())
+        fatal("short write to trace file '%s'", path.c_str());
+    std::printf("wrote %llu packets to %s\n",
+                static_cast<unsigned long long>(cfg.numPackets),
+                path.c_str());
+    return 0;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/**
+ * Golden-vs-faulty rows of a chip or card metrics object, read back
+ * from its JSON so every member prints; arrays (per engine, per chip)
+ * print space-separated.
+ */
+TextTable
+metricsTable(const std::string &title, const std::string &golden,
+             const std::string &faulty)
 {
-    setQuiet(true);
+    const auto text = [](const sweep::JsonValue &v) {
+        std::string out;
+        char buf[32];
+        for (const sweep::JsonValue &x :
+             v.kind == sweep::JsonValue::Kind::Arr
+                 ? v.arr
+                 : std::vector<sweep::JsonValue>{v}) {
+            std::snprintf(buf, sizeof(buf), "%.6g", x.num);
+            out += (out.empty() ? "" : " ") + std::string(buf);
+        }
+        return out;
+    };
+    const sweep::JsonValue g = sweep::parseJson(golden);
+    const sweep::JsonValue f = sweep::parseJson(faulty);
+    TextTable table(title);
+    table.header({"metric", "golden", "faulty (avg)"});
+    for (std::size_t i = 0; i < g.obj.size(); ++i)
+        table.row({g.obj[i].first, text(g.obj[i].second),
+                   text(f.obj[i].second)});
+    return table;
+}
 
-    std::string app, dumpTrace, replayTrace, faultMapText = "off";
-    core::ExperimentConfig cfg;
-    cfg.numPackets = 2000;
-    cfg.trials = 4;
-    apps::SessionParams sess;
-    std::uint64_t mapSeed = fault::FaultMapSpec{}.seed;
-    unsigned wayRetire = 0;
-    bool stats = false, csv = false, json = false;
-
-    cli::ArgParser parser(
-        "clumsy_sim",
-        "Run one workload under one operating point and report the "
-        "full result set.");
-    parser.section("workload");
-    parser.optString("--app", "NAME",
-                     "crc tl route drr nat md5 url (paper) + adpcm "
-                     "session lpm",
-                     &app);
-    parser.section("traffic");
-    parser.option("--flows", "N",
-                  "live flow population override (default: the app's)",
-                  [&cfg](const std::string &v) {
-                      const std::uint64_t n = cli::parseU64("flows", v);
-                      if (n == 0)
-                          fatal("flows must be >= 1");
-                      cfg.traceFlows = static_cast<std::uint32_t>(n);
-                  });
-    parser.optU64("--churn", "N",
-                  "mean flow lifetime in packets; forces the churn "
-                  "traffic model on (default: the app's own setting)",
-                  &cfg.churnLifetime);
-    parser.option("--ctrl-rate", "N",
-                  "control-plane updates per 1000 packets "
-                  "(default 0 = no control plane)",
-                  [&cfg](const std::string &v) {
-                      cfg.ctrl.rate = static_cast<std::uint32_t>(
-                          cli::parseU64("ctrl-rate", v));
-                  });
-    parser.option("--ctrl-mix", "M",
-                  "control-plane event mix: fib | nat | session | all "
-                  "(default all)",
-                  [&cfg](const std::string &v) {
-                      cfg.ctrl.mix = ctrl::mixFromString(v);
-                  });
-    parser.option("--flow-zipf", "X",
-                  "flow-popularity Zipf exponent (default: the app's)",
-                  [&cfg](const std::string &v) {
-                      const double x = cli::parseDouble("flow-zipf", v);
-                      if (x < 0.0)
-                          fatal("flow-zipf must be >= 0, got %s",
-                                v.c_str());
-                      cfg.flowZipf = x;
-                  });
-    parser.option("--session-capacity", "N",
-                  "session app: table slots (default 1024)",
-                  [&sess](const std::string &v) {
-                      const std::uint64_t n =
-                          cli::parseU64("session-capacity", v);
-                      if (n == 0)
-                          fatal("session capacity must be >= 1");
-                      sess.capacity = static_cast<std::uint32_t>(n);
-                  });
-    parser.option("--session-timeout", "N",
-                  "session app: idle timeout in packets (default 4096)",
-                  [&sess](const std::string &v) {
-                      const std::uint64_t n =
-                          cli::parseU64("session-timeout", v);
-                      if (n == 0)
-                          fatal("session timeout must be >= 1");
-                      sess.timeoutPackets =
-                          static_cast<std::uint32_t>(n);
-                  });
-    parser.section("operating point");
-    parser.optDouble("--cr", "X",
-                     "relative cycle time (1, 0.75, 0.5, 0.25)",
-                     &cfg.cr);
-    parser.flag("--dynamic", "use the dynamic frequency controller",
-                [&cfg]() { cfg.dynamicFrequency = true; });
-    parser.option("--scheme", "S",
-                  "no-detection | one-strike | two-strike | "
-                  "three-strike (default: no-detection)",
-                  [&cfg](const std::string &v) {
-                      cfg.scheme = sweep::schemeFromName(v);
-                  });
-    parser.option("--codec", "C", "parity | secded (default: parity)",
-                  [&cfg](const std::string &v) {
-                      cfg.processor.hierarchy.codec =
-                          sweep::codecFromString(v);
-                  });
-    parser.flag("--subblock", "sub-block strike recovery", [&cfg]() {
-        cfg.processor.hierarchy.subBlockRecovery = true;
-    });
-    parser.optString("--fault-map", "MAP",
-                     "weak-cell map: off | spatial | FILE "
-                     "(default off = uniform eq. (4) faults)",
-                     &faultMapText);
-    parser.optU64("--fault-map-seed", "N",
-                  "map generation seed (spatial mode)", &mapSeed);
-    parser.optUnsigned("--way-retire", "N",
-                       "retire an L1D way after N strike-outs "
-                       "(default 0 = never)",
-                       &wayRetire);
-    parser.section("experiment");
-    parser.optU64("--packets", "N", "packets per run (default 2000)",
-                  &cfg.numPackets);
-    parser.optUnsigned("--trials", "N", "faulty trials (default 4)",
-                       &cfg.trials);
-    parser.option("--plane", "P", "both | control | data (default both)",
-                  [&cfg](const std::string &v) {
-                      cfg.plane = sweep::planeFromString(v);
-                  });
-    parser.optDouble("--fault-scale", "X",
-                     "fault-rate multiplier (default 1)",
-                     &cfg.faultScale);
-    parser.optU64("--seed", "N", "trace seed", &cfg.traceSeed);
-    parser.optU64("--fault-seed", "N", "fault-stream seed",
-                  &cfg.faultSeed);
-    parser.section("traces");
-    parser.optString("--dump-trace", "FILE",
-                     "write the app's generated trace and exit",
-                     &dumpTrace);
-    parser.optString("--replay", "FILE",
-                     "run one faulty pass over a saved trace",
-                     &replayTrace);
-    parser.section("output");
-    parser.flag("--stats", "dump raw simulator counters", &stats);
-    parser.flag("--csv", "CSV tables", &csv);
-    parser.flag("--json",
-                "machine-readable JSON (same result schema as "
-                "clumsy_sweep)",
-                &json);
-    parser.parse(argc, argv);
-
-    if (app.empty())
-        fatal("--app is required (try --help)");
-
-    // Applied after parsing so --fault-map and --fault-map-seed
-    // compose in either order.
-    cfg.processor.faultMap = fault::faultMapSpecFromString(faultMapText);
-    cfg.processor.faultMap.seed = mapSeed;
-    cfg.processor.hierarchy.wayDisable.retireThreshold = wayRetire;
-
-    // The session app is the one workload with CLI-tunable knobs; all
-    // others come from the stock factory.
-    const core::AppFactory factory =
-        app == "session"
-            ? core::AppFactory([sess] {
-                  return std::make_unique<apps::SessionApp>(sess);
-              })
-            : apps::appFactory(app);
-
-    if (!dumpTrace.empty()) {
-        // Stream the trace straight to disk: packet counts beyond
-        // memory are fine, exactly like the harnesses' own sources.
-        const auto probe = factory();
-        const auto src = traffic::makeSource(
-            core::resolveTraceConfig(cfg, *probe), 0);
-        std::ofstream os(dumpTrace);
-        if (!os)
-            fatal("cannot write trace file '%s'", dumpTrace.c_str());
-        net::writeTraceHeader(os);
-        for (std::uint64_t i = 0; i < cfg.numPackets; ++i)
-            net::writePacket(os, src->next());
-        if (!os.flush())
-            fatal("short write to trace file '%s'", dumpTrace.c_str());
-        std::printf("wrote %llu packets to %s\n",
-                    static_cast<unsigned long long>(cfg.numPackets),
-                    dumpTrace.c_str());
-        return 0;
-    }
-
-    if (!replayTrace.empty())
-        return replay(factory, replayTrace, cfg, stats);
-
-    const auto res = core::runExperiment(factory, cfg);
-
-    if (json) {
-        printJson(app, cfg, res);
-        return 0;
-    }
-
-    TextTable table("clumsy_sim: " + app + " @ Cr=" +
-                    TextTable::num(cfg.cr, 2) +
-                    (cfg.dynamicFrequency ? " (dynamic)" : "") + ", " +
-                    to_string(cfg.scheme));
+TextTable
+coreTable(const std::string &title, const core::ExperimentResult &res)
+{
+    TextTable table(title);
     table.header({"metric", "golden", "faulty (avg)"});
     table.row({"packets processed",
                std::to_string(res.golden.packetsProcessed),
@@ -353,20 +177,135 @@ main(int argc, char **argv)
                TextTable::num(res.fallibility, 4)});
     table.row({"fatal hazard / packet", "0",
                TextTable::sci(res.fatalProb, 2)});
+    table.row({"fatal fraction", "0",
+               TextTable::num(res.fatalFraction, 3)});
     table.row({"faults injected", "0",
                std::to_string(res.faulty.faultsInjected)});
     table.row({"parity trips", "0",
                std::to_string(res.faulty.parityTrips)});
     table.row({"ECC corrections", "0",
                std::to_string(res.faulty.eccCorrections)});
-    std::fputs((csv ? table.csv() : table.render()).c_str(), stdout);
+    return table;
+}
 
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    setQuiet(true);
+
+    sweep::SweepSpec spec; // the scalars: packets, trials, seeds
+    sweep::SweepCell cell;
+    std::string dumpPath, replayPath;
+    bool stats = false, csv = false, json = false;
+
+    cli::ArgParser parser(
+        "clumsy_sim",
+        "Run one workload on one configuration (a single core, a "
+        "multi-engine chip or a line card, whichever the knobs "
+        "describe) and report the full result set.");
+    sweep::addKnobFlags(parser, spec, cell);
+    parser.section("traces");
+    parser.optString("--dump-trace", "FILE",
+                     "write the app's generated trace and exit",
+                     &dumpPath);
+    parser.optString("--replay", "FILE",
+                     "run one faulty pass over a saved trace (single "
+                     "core)",
+                     &replayPath);
+    parser.section("output");
+    parser.flag("--stats", "dump raw simulator counters (--replay)",
+                &stats);
+    parser.flag("--csv", "CSV tables", &csv);
+    parser.flag("--json",
+                "machine-readable JSON: the config echo, then the "
+                "result, npu or card objects clumsy_sweep writes",
+                &json);
+    parser.parse(argc, argv);
+
+    if (cell.app.empty())
+        fatal("--app is required (try --help)");
+    sweep::checkCell(cell);
+    const core::ExperimentConfig cfg = sweep::makeConfig(spec, cell);
+
+    // The session app is the one workload with tunable knobs; all
+    // others come from the stock factory.
+    const apps::SessionParams sess{cell.sessionCapacity,
+                                   cell.sessionTimeout};
+    const core::AppFactory factory =
+        cell.app == "session"
+            ? core::AppFactory([sess] {
+                  return std::make_unique<apps::SessionApp>(sess);
+              })
+            : apps::appFactory(cell.app);
+
+    if (!dumpPath.empty())
+        return dumpTrace(factory, cfg, dumpPath);
+    if (!replayPath.empty())
+        return replay(factory, replayPath, cfg, stats);
+
+    // The tier's own metrics ride next to the result: the chip's
+    // "npu" object or the card's "card" object, golden and faulty.
+    core::ExperimentResult res;
+    std::string title = "clumsy_sim: " + cell.app, tier, golden, faulty;
+    std::uint64_t digest = 0;
+    if (cell.isCard()) {
+        const linecard::CardExperimentResult card =
+            linecard::runCardExperiment(factory, cfg,
+                                        sweep::makeNpuConfig(cell),
+                                        sweep::makeCardConfig(cell));
+        res = card.core;
+        tier = "card";
+        golden = sweep::cardMetricsJson(card.golden.card);
+        faulty = sweep::cardMetricsJson(card.faultyCard);
+        digest = card.golden.valueDigest;
+        title += " on " + std::to_string(cell.chips) + " chip(s) x " +
+                 std::to_string(cell.peCount) + " PE";
+    } else if (cell.isNpu()) {
+        const npu::ChipExperimentResult chip = npu::runChipExperiment(
+            factory, cfg, sweep::makeNpuConfig(cell));
+        res = chip.core;
+        tier = "npu";
+        golden = sweep::chipMetricsJson(chip.goldenChip);
+        faulty = sweep::chipMetricsJson(chip.faultyChip);
+        title += " on " + std::to_string(cell.peCount) + " PE(s), " +
+                 npu::to_string(cell.dispatch);
+    } else {
+        res = core::runExperiment(factory, cfg);
+    }
+
+    sweep::JsonWriter doc(2);
+    doc.beginObject();
+    sweep::writeConfigEcho(doc, spec, cell);
+    doc.key("result").raw(sweep::experimentResultJson(res));
+    if (tier == "card") {
+        doc.key("value_digest").value(sweep::hexU64(digest));
+        doc.key("fatal_fraction").value(res.fatalFraction);
+    }
+    if (!tier.empty())
+        doc.key(tier).raw(sweep::goldenFaultyJson(golden, faulty));
+    doc.endObject();
+
+    if (json) {
+        std::fputs((doc.str() + "\n").c_str(), stdout);
+        return 0;
+    }
+
+    title += " @ Cr=" + TextTable::num(cfg.cr, 2) +
+             (cfg.dynamicFrequency ? " (dynamic)" : "") + ", " +
+             to_string(cfg.scheme);
+    std::vector<TextTable> tables{coreTable(title, res)};
+    if (!tier.empty())
+        tables.push_back(metricsTable(tier, golden, faulty));
     if (!res.errorProbByType.empty()) {
-        TextTable errs("error probability by marked value");
+        TextTable &errs = tables.emplace_back(
+            "error probability by marked value");
         errs.header({"marked value", "P(error)"});
         for (const auto &kv : res.errorProbByType)
             errs.row({kv.first, TextTable::num(kv.second, 6)});
-        std::fputs((csv ? errs.csv() : errs.render()).c_str(), stdout);
     }
+    for (const TextTable &t : tables)
+        std::fputs((csv ? t.csv() : t.render()).c_str(), stdout);
     return 0;
 }

@@ -2,10 +2,9 @@
  * @file
  * clumsy_sweep: parallel experiment-grid driver.
  *
- * Expands a declarative grid over {app, Cr, scheme, codec, plane,
- * fault-scale, pes, dispatch, per-pe-cr}, runs every cell's golden
- * pass and faulty trials as
- * independent jobs on a work-stealing pool, and writes JSON (and
+ * Expands a declarative grid over the knob table's grid keys
+ * (sweep/knobs.hh), runs every cell's golden pass and faulty trials
+ * as independent jobs on a work-stealing pool, and writes JSON (and
  * optionally CSV) with full provenance. Aggregates are bit-identical
  * for any --jobs value; see EXPERIMENTS.md for the schema.
  *
@@ -19,6 +18,7 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
+#include "sweep/knobs.hh"
 #include "sweep/runner.hh"
 #include "sweep/sink.hh"
 
@@ -38,14 +38,16 @@ main(int argc, char **argv)
         "Run an experiment grid in parallel and export the "
         "aggregated results.");
     parser.section("grid");
-    parser.optString(
-        "--grid", "SPEC",
-        "semicolon-separated key=value,value,... dimensions; keys: "
-        "app cr scheme codec plane fault-scale pes dispatch per-pe-cr "
-        "dvs mshrs l2 gap chip-jobs chips dram-banks card-jobs flows "
-        "churn faultmap retire ctrl updates packets trials seed "
-        "fault-seed map-seed",
-        &grid);
+    std::string keys;
+    for (const sweep::Knob &k : sweep::knobTable()) {
+        if (k.grid)
+            keys += std::string(" ") + k.grid;
+    }
+    parser.optString("--grid", "SPEC",
+                     "semicolon-separated key=value,value,... dimensions "
+                     "(see clumsy_sim --help); keys:" +
+                         keys,
+                     &grid);
     parser.section("execution");
     parser.optUnsigned("--jobs", "N",
                        "worker threads (default: all hardware threads)",

@@ -13,17 +13,31 @@
  * min(chips, jobs) — unlike --chip-jobs, the golden run itself fans
  * out across chips, so the bound is structural, not trial-limited.
  * Every cell is byte-compared against its serial twin (the
- * determinism contract), and the host's hardware thread count is
- * recorded so a reader can tell a 1-CPU container (measured speedup
- * pinned at ~1x, model bound is the tracked number) from a real
+ * determinism contract), and the number of CPUs the process may run
+ * on is recorded as host_threads, so a reader can tell a 1-CPU run —
+ * a 1-CPU container or a run pinned with taskset (measured speedup
+ * at ~1x, model bound is the tracked number) — from a real
  * multi-core run.
+ *
+ * A second table holds the packet count fixed (10x the grid's, so the
+ * kernel's share of CPU is resolved above the accounting tick) and
+ * sweeps the chips {1, 2, 4, 8} at card-jobs 1: wall time plus the
+ * process's user and kernel CPU (getrusage) and the wall time over
+ * the one-chip card's. At fixed packets the simulated work barely
+ * grows with the chips, so the growth is the host's per-chip fixed
+ * cost; the ROADMAP target is 8 chips within 2x of 1 chip with kernel
+ * time under 10% of CPU.
  */
+
+#include <sched.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/app.hh"
@@ -51,6 +65,15 @@ struct Cell
     bool identical;   ///< byte-equal to the jobs=1 run
 };
 
+/** One row of the fixed-packets chips sweep (card-jobs 1). */
+struct ChipsRow
+{
+    unsigned chips;
+    double wallMs;
+    double userMs; ///< process user CPU over the timed run
+    double sysMs;  ///< process kernel CPU over the timed run
+};
+
 /** Timed repetitions per cell; the minimum wall clock is reported. */
 constexpr unsigned kReps = 2;
 
@@ -59,6 +82,30 @@ wallMsOf(const std::chrono::steady_clock::time_point start)
 {
     const auto dt = std::chrono::steady_clock::now() - start;
     return std::chrono::duration<double, std::milli>(dt).count();
+}
+
+/** CPUs this process may run on (its affinity mask), at least 1. */
+unsigned
+cpusAvailable()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0)
+        return WorkStealingPool::hardwareWorkers();
+    return std::max(1, CPU_COUNT(&set));
+}
+
+/** The process's {user, sys} CPU so far, milliseconds. */
+std::pair<double, double>
+cpuMs()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    auto ms = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) * 1e3 +
+               static_cast<double>(tv.tv_usec) / 1e3;
+    };
+    return {ms(ru.ru_utime), ms(ru.ru_stime)};
 }
 
 } // namespace
@@ -163,6 +210,47 @@ main(int argc, char **argv)
     }
     opt.print(table);
 
+    // Fixed packets, more chips, card-jobs 1: the host's per-chip
+    // fixed cost. Each row keeps the CPU split of its fastest rep.
+    core::ExperimentConfig sweepCfg = cfg;
+    sweepCfg.numPackets = 10 * opt.packets;
+    std::vector<ChipsRow> chipsRows;
+    TextTable chipsTable(app + " @ " +
+                         std::to_string(sweepCfg.numPackets) +
+                         " packets, card-jobs 1: host cost vs chips on "
+                         "the card");
+    chipsTable.header({"chips", "wall [ms]", "user [ms]", "sys [ms]",
+                       "sys share", "wall / 1 chip"});
+    for (const unsigned chips : {1u, 2u, 4u, 8u}) {
+        linecard::CardConfig cardCfg;
+        cardCfg.chips = chips;
+        cardCfg.dram.banks = 8;
+        ChipsRow row{chips, 0.0, 0.0, 0.0};
+        for (unsigned rep = 0; rep < kReps; ++rep) {
+            const auto cpu0 = cpuMs();
+            const auto start = std::chrono::steady_clock::now();
+            (void)linecard::runCardExperiment(apps::appFactory(app),
+                                              sweepCfg, npuCfg, cardCfg);
+            const double ms = wallMsOf(start);
+            const auto cpu1 = cpuMs();
+            if (rep == 0 || ms < row.wallMs)
+                row = {chips, ms, cpu1.first - cpu0.first,
+                       cpu1.second - cpu0.second};
+        }
+        chipsRows.push_back(row);
+        const double cpu = row.userMs + row.sysMs;
+        chipsTable.row({std::to_string(chips),
+                        TextTable::num(row.wallMs, 1),
+                        TextTable::num(row.userMs, 1),
+                        TextTable::num(row.sysMs, 1),
+                        TextTable::num(cpu > 0.0 ? row.sysMs / cpu : 0.0,
+                                       2),
+                        TextTable::num(row.wallMs / chipsRows[0].wallMs,
+                                       2) +
+                            "x"});
+    }
+    opt.print(chipsTable);
+
     sweep::JsonWriter w(2);
     w.beginObject();
     w.key("bench").value("card_scale");
@@ -170,7 +258,7 @@ main(int argc, char **argv)
     w.key("packets").value(static_cast<std::uint64_t>(opt.packets));
     w.key("trials").value(static_cast<std::uint64_t>(opt.trials));
     w.key("host_threads").value(
-        static_cast<std::uint64_t>(hostThreads));
+        static_cast<std::uint64_t>(cpusAvailable()));
     w.key("reps").value(std::uint64_t{kReps});
     w.key("config").beginObject();
     w.key("pes_per_chip").value(std::uint64_t{2});
@@ -194,6 +282,20 @@ main(int argc, char **argv)
         w.key("speedup_measured").value(c.measured);
         w.key("speedup_model").value(c.model);
         w.key("identical").value(c.identical);
+        w.endObject();
+    }
+    w.endArray();
+    w.key("chips_sweep_packets")
+        .value(static_cast<std::uint64_t>(sweepCfg.numPackets));
+    w.key("chips_sweep").beginArray();
+    for (const ChipsRow &r : chipsRows) {
+        w.beginObject();
+        w.key("chips").value(static_cast<std::uint64_t>(r.chips));
+        w.key("card_jobs").value(std::uint64_t{1});
+        w.key("wall_ms").value(r.wallMs);
+        w.key("user_ms").value(r.userMs);
+        w.key("sys_ms").value(r.sysMs);
+        w.key("over_one_chip").value(r.wallMs / chipsRows[0].wallMs);
         w.endObject();
     }
     w.endArray();

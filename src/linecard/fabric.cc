@@ -14,9 +14,45 @@ DramFabric::DramFabric(const dram::DramConfig &config, unsigned chips,
       tokens_(std::max(1u, tokens)),
       bound_(chips, 0),
       lastCommit_(chips, 0),
-      done_(chips, 0)
+      done_(chips, 0),
+      wait_(chips, Wait::None),
+      cv_(chips)
 {
     CLUMSY_ASSERT(chips >= 1, "fabric needs at least one chip");
+}
+
+void
+DramFabric::awaitGrant(std::unique_lock<std::mutex> &lk, unsigned chip,
+                       Wait why)
+{
+    wait_[chip] = why;
+    cv_[chip].wait(lk, [&] { return wait_[chip] == Wait::None; });
+}
+
+void
+DramFabric::grantLocked()
+{
+    const unsigned chips = static_cast<unsigned>(wait_.size());
+    while (running_ < tokens_) {
+        // 1. The smallest (p, chip) commit waiter, if admissible. A
+        // commit waiter's p is its last commit point.
+        unsigned next = chips;
+        for (unsigned c = 0; c < chips; ++c)
+            if (wait_[c] == Wait::Commit &&
+                (next == chips || lastCommit_[c] < lastCommit_[next]))
+                next = c;
+        if (next < chips && !safeLocked(next, lastCommit_[next]))
+            next = chips;
+        // 2. Otherwise the lowest-index chip waiting in start().
+        for (unsigned c = 0; next == chips && c < chips; ++c)
+            if (wait_[c] == Wait::Start)
+                next = c;
+        if (next == chips)
+            return; // the token stays free for the next start()
+        wait_[next] = Wait::None;
+        ++running_;
+        cv_[next].notify_one();
+    }
 }
 
 void
@@ -24,9 +60,11 @@ DramFabric::start(unsigned chip)
 {
     std::unique_lock<std::mutex> lk(m_);
     CLUMSY_ASSERT(chip < bound_.size(), "chip index out of range");
-    while (running_ >= tokens_)
-        cv_.wait(lk);
-    ++running_;
+    // A free token means no one is eligible to wait for it.
+    if (running_ < tokens_)
+        ++running_;
+    else
+        awaitGrant(lk, chip, Wait::Start);
 }
 
 void
@@ -36,7 +74,7 @@ DramFabric::publish(unsigned chip, Quanta bound)
     if (bound <= bound_[chip])
         return;
     bound_[chip] = bound;
-    cv_.notify_all();
+    grantLocked();
 }
 
 bool
@@ -65,25 +103,19 @@ DramFabric::request(unsigned chip, std::uint64_t addr, Quanta reqTime)
                   "DRAM request earlier than the chip's published bound");
     bound_[chip] = p;
     lastCommit_[chip] = p;
-    cv_.notify_all();
 
-    // Wait for the commit turn, lending out our execution token while
-    // blocked so the chips we wait on can run. Safety is monotone
-    // (bounds only rise, done only sets), so re-acquiring the token
-    // afterwards cannot invalidate it.
-    bool released = false;
-    while (!safeLocked(chip, p)) {
-        if (!released) {
-            released = true;
-            --running_;
-            cv_.notify_all();
-        }
-        cv_.wait(lk);
-    }
-    if (released) {
-        while (running_ >= tokens_)
-            cv_.wait(lk);
-        ++running_;
+    if (safeLocked(chip, p)) {
+        grantLocked(); // the raised bound may admit a waiter
+    } else {
+        // Lend our execution token while blocked so the chips we
+        // wait on can run; a grant hands one back once our commit is
+        // next. Safety is monotone (bounds only rise, done only
+        // sets), so it still holds when we wake.
+        --running_;
+        grantLocked();
+        awaitGrant(lk, chip, Wait::Commit);
+        CLUMSY_ASSERT(safeLocked(chip, p),
+                      "commit token granted out of (p, chip) order");
     }
 
     const Quanta done = model_.access(addr, p);
@@ -98,7 +130,7 @@ DramFabric::finish(unsigned chip)
     std::lock_guard<std::mutex> lk(m_);
     done_[chip] = 1;
     --running_;
-    cv_.notify_all();
+    grantLocked();
 }
 
 } // namespace clumsy::linecard

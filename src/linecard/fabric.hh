@@ -26,6 +26,26 @@
  * bound; the waiter with the globally smallest (p, chip) among
  * unfinished chips is always admissible, so the fabric is
  * deadlock-free for any token count >= 1.
+ *
+ * Token grants. Tokens pass hand to hand; no wakeup is broadcast.
+ * Each chip sleeps on its own condition variable and wakes only when
+ * a token is granted to it. Whenever a token is free — a chip lends
+ * its token to wait for its commit turn, or finishes — or a bound
+ * rises while one is free, the fabric grants it to, in order:
+ *  1. the commit waiter with the smallest (p, chip), if it is safe
+ *     (it is the only waiter that can be: every other waiter's p is
+ *     above its published bound);
+ *  2. otherwise the lowest-index chip waiting in start().
+ * With neither, the token stays free and the next start() takes it.
+ * This cannot deadlock: with every unfinished chip blocked and a
+ * token free, either some chip waits in start() (rule 2 serves it)
+ * or every unfinished chip is a commit waiter, and then the smallest
+ * (p, chip) among them bounds every other chip from below — it is
+ * safe, and rule 1 serves it. Safety is monotone (bounds only rise,
+ * finished chips stay finished), so a granted commit stays
+ * admissible. The grant choice only decides which thread runs next;
+ * the (p, chip) commit order, and so every result byte, is fixed by
+ * the bounds alone.
  */
 
 #ifndef CLUMSY_LINECARD_FABRIC_HH
@@ -86,20 +106,36 @@ class DramFabric
     const dram::DramModel &model() const { return model_; }
 
   private:
+    /** What a chip's thread is blocked on, if anything. */
+    enum class Wait : char
+    {
+        None,   ///< running, granted, finished or not yet arrived
+        Start,  ///< in start(), for its first token
+        Commit, ///< in request(), for its turn and a token
+    };
+
     /** Is @p chip's commit at @p p globally next? (lock held) */
     bool safeLocked(unsigned chip, Quanta p) const;
+
+    /** Hand every free token to the next eligible waiter (file doc). */
+    void grantLocked();
+
+    /** Block @p chip until a token is granted to it. (lock held) */
+    void awaitGrant(std::unique_lock<std::mutex> &lk, unsigned chip,
+                    Wait why);
 
     dram::DramModel model_;
     Quanta flat_;
     unsigned tokens_;
-    unsigned running_ = 0; ///< chips currently holding a token
+    unsigned running_ = 0; ///< tokens held or granted
 
     std::vector<Quanta> bound_;      ///< published lower bounds
     std::vector<Quanta> lastCommit_; ///< per-chip last commit point
     std::vector<char> done_;
+    std::vector<Wait> wait_; ///< why each chip blocks; None once granted
 
     mutable std::mutex m_;
-    std::condition_variable cv_;
+    std::vector<std::condition_variable> cv_; ///< one per chip
 };
 
 /**

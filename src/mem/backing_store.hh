@@ -7,6 +7,13 @@
  * address produced by fault-corrupted pointer data is reported to the
  * caller instead of touching host memory, which is one of the two ways
  * the paper's "fatal errors" are detected (the other is loop budgets).
+ *
+ * Sparse zero pages. The memory is a table of 4 KB pages, each
+ * allocated (zero-filled) on its first write; a read of a page nothing
+ * has written returns zeros without allocating it. An app's bring-up
+ * writes a few dozen KB of its 8 MB address space, so a store costs
+ * the host what the app touched, not its modelled size. Every byte
+ * still reads back exactly as a dense zero-filled memory would.
  */
 
 #ifndef CLUMSY_MEM_BACKING_STORE_HH
@@ -20,10 +27,13 @@
 namespace clumsy::mem
 {
 
-/** Byte-addressable simulated physical memory. */
+/** Byte-addressable simulated physical memory (copies are deep). */
 class BackingStore
 {
   public:
+    /** Host allocation granule: bytes per lazily allocated page. */
+    static constexpr SimSize kPageBytes = 4096;
+
     /** @param size memory size in bytes (must be > 0). */
     explicit BackingStore(SimSize size);
 
@@ -51,11 +61,27 @@ class BackingStore
     /** Fill len bytes with a value. */
     void fill(SimAddr addr, std::uint8_t value, SimSize len);
 
+    /**
+     * @return true once anything has written the page holding @p addr
+     * (addr must be in range). An untouched page reads as all zeros.
+     */
+    bool pageTouched(SimAddr addr) const;
+
     /** @return the memory size in bytes. */
-    SimSize size() const { return static_cast<SimSize>(data_.size()); }
+    SimSize size() const { return size_; }
 
   private:
-    std::vector<std::uint8_t> data_;
+    /** An allocated page's bytes; empty until its first write. */
+    using Page = std::vector<std::uint8_t>;
+
+    /** The bytes of the page holding @p addr, zeros if untouched. */
+    const std::uint8_t *pageForRead(SimAddr addr) const;
+
+    /** The bytes of the page holding @p addr, allocated if need be. */
+    std::uint8_t *pageForWrite(SimAddr addr);
+
+    SimSize size_;
+    std::vector<Page> pages_;
 };
 
 } // namespace clumsy::mem

@@ -176,19 +176,38 @@ SharedL2Cache::seedDivergence(const WorkStealingPool *pool)
         return false;
     };
 
-    const std::size_t lines =
-        static_cast<std::size_t>(memBytes_ / lineBytes_);
+    // Only lines on pages some engine has written can differ: a page
+    // no store has touched reads as zeros in every store. Walk the
+    // memory in spans of whole pages and whole lines and keep the
+    // undiverged lines of every span with a touched page, ascending.
+    const SimSize span =
+        std::max<SimSize>(lineBytes_, mem::BackingStore::kPageBytes);
+    std::vector<SimAddr> lines;
+    for (std::uint64_t lo = 0; lo < memBytes_; lo += span) {
+        const std::uint64_t hi = std::min<std::uint64_t>(lo + span,
+                                                         memBytes_);
+        bool touched = false;
+        for (std::uint64_t a = lo; a < hi && !touched;
+             a += mem::BackingStore::kPageBytes)
+            for (const mem::BackingStore *store : stores_)
+                touched = touched ||
+                          store->pageTouched(static_cast<SimAddr>(a));
+        if (!touched)
+            continue;
+        for (std::uint64_t base = lo; base < hi; base += lineBytes_)
+            if (!diverged(static_cast<SimAddr>(base)))
+                lines.push_back(static_cast<SimAddr>(base));
+    }
+
     const unsigned jobs =
         pool ? static_cast<unsigned>(std::min<std::size_t>(
-                   pool->workers(), lines))
+                   pool->workers(), lines.size()))
              : 1;
 
     if (jobs <= 1) {
         std::vector<std::uint8_t> ref(lineBytes_);
         std::vector<std::uint8_t> buf(lineBytes_);
-        for (SimAddr base = 0; base < memBytes_; base += lineBytes_) {
-            if (diverged(base))
-                continue;
+        for (const SimAddr base : lines) {
             if (lineDiffers(base, ref.data(), buf.data())) {
                 markDiverged(base);
                 stats_.inc("seeded_diverged");
@@ -197,25 +216,21 @@ SharedL2Cache::seedDivergence(const WorkStealingPool *pool)
         return;
     }
 
-    // Fan the diff out over contiguous, disjoint line ranges; every
-    // job only reads and records its mismatches in its own slot. The
-    // marks are applied at the barrier in ascending line order — the
-    // order the serial loop discovers them in — so bitmap, count and
-    // stats come out byte-identical.
+    // Fan the diff out over contiguous, disjoint runs of the candidate
+    // lines; every job only reads and records its mismatches in its
+    // own slot. The marks are applied at the barrier in ascending line
+    // order — the order the serial loop discovers them in — so bitmap,
+    // count and stats come out byte-identical.
     std::vector<std::vector<SimAddr>> found(jobs);
-    const std::size_t chunk = (lines + jobs - 1) / jobs;
+    const std::size_t chunk = (lines.size() + jobs - 1) / jobs;
     pool->run(jobs, [&](std::size_t job) {
         std::vector<std::uint8_t> ref(lineBytes_);
         std::vector<std::uint8_t> buf(lineBytes_);
         const std::size_t lo = job * chunk;
-        const std::size_t hi = std::min(lines, lo + chunk);
-        for (std::size_t line = lo; line < hi; ++line) {
-            const SimAddr base = static_cast<SimAddr>(line) * lineBytes_;
-            if (diverged(base))
-                continue;
-            if (lineDiffers(base, ref.data(), buf.data()))
-                found[job].push_back(base);
-        }
+        const std::size_t hi = std::min(lines.size(), lo + chunk);
+        for (std::size_t i = lo; i < hi; ++i)
+            if (lineDiffers(lines[i], ref.data(), buf.data()))
+                found[job].push_back(lines[i]);
     });
     for (const std::vector<SimAddr> &bases : found) {
         for (const SimAddr base : bases) {

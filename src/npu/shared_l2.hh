@@ -258,6 +258,8 @@ class SharedL2Cache
      * mark mismatching DRAM lines diverged. Called once, after every
      * engine is attached: control-plane faults leave different bytes
      * in different stores, and those lines must never share a frame.
+     * Only lines on pages some store has written are diffed: an
+     * untouched page reads as zeros in every store.
      *
      * With a @p pool of more than one worker the diff itself fans out
      * over disjoint line ranges (reads only; each job records its

@@ -2,7 +2,8 @@
  * @file
  * Tests of the line-card tier (src/linecard/): --card-jobs
  * byte-identity across workloads (including a mapped-fault +
- * control-churn cell), the one-chip anchor against the streaming chip
+ * control-churn cell), the fabric's token grants on idle and dying
+ * chips, the one-chip anchor against the streaming chip
  * harness, dispatcher split invariants, metric merges, shared-DRAM
  * stat coherence and config validation.
  */
@@ -51,6 +52,18 @@ reprOf(const CardExperimentResult &res)
            sweep::cardMetricsJson(res.golden.card) +
            sweep::cardMetricsJson(res.faultyCard) +
            sweep::formatDouble(res.fatalFraction);
+}
+
+/** One card run as a comparable string, per-chip outcomes included. */
+std::string
+reprOf(const CardRunResult &run)
+{
+    std::string out = sweep::hexU64(run.valueDigest) +
+                      sweep::cardMetricsJson(run.card);
+    for (const npu::ChipStreamResult &chip : run.chips)
+        out += sweep::hexU64(chip.valueDigest) +
+               (chip.merged.fatal ? " dead" : " live");
+    return out;
 }
 
 } // namespace
@@ -122,6 +135,84 @@ TEST(LineCard, CardJobsAreByteIdenticalAcrossWorkloads)
             EXPECT_EQ(got, ref)
                 << w.app << " diverged at card-jobs " << jobs;
         }
+    }
+}
+
+// --- fabric token grants ---------------------------------------------
+//
+// Each case runs the fabric at 1, 2, 3 and 8 tokens: serial, fewer
+// tokens than chips, a count that does not divide the chips, and one
+// token per chip. A lost or misdirected grant hangs the run (the CTest
+// TIMEOUT on this binary turns that into a failure) or shows up as a
+// byte difference.
+
+/**
+ * More chips than packets: some chips get no packets at all, start()
+ * and finish() at once, and every grant must still reach the chips
+ * that do have work. Unbounded and bounded ingress FIFOs.
+ */
+TEST(LineCard, ZeroPacketChipsAreByteIdenticalAcrossCardJobs)
+{
+    core::ExperimentConfig cfg = smallConfig();
+    cfg.numPackets = 5;
+    npu::NpuConfig npuCfg;
+    npuCfg.peCount = 2;
+    for (const unsigned ingress : {0u, 1u}) {
+        CardConfig card;
+        card.chips = 8;
+        card.dram.banks = 4;
+        card.ingressCapacity = ingress;
+
+        const std::vector<std::uint64_t> counts = cardAssignCounts(
+            apps::makeApp("route")->traceConfig(), npuCfg.arrivalGapCycles,
+            card, cfg.numPackets);
+        ASSERT_EQ(counts[7], 0u) << "the card must have idle chips";
+
+        card.cardJobs = 1;
+        const std::string ref = reprOf(runCardExperiment(
+            apps::appFactory("route"), cfg, npuCfg, card));
+        for (const unsigned jobs : {2u, 3u, 8u}) {
+            card.cardJobs = jobs;
+            EXPECT_EQ(reprOf(runCardExperiment(apps::appFactory("route"),
+                                               cfg, npuCfg, card)),
+                      ref)
+                << "ingress " << ingress << ", card-jobs " << jobs;
+        }
+    }
+}
+
+/**
+ * A faulty trial in which one chip dies early: its finish() must
+ * admit the commits waiting on its bound and hand its token on. At
+ * this fault scale chip 1 dies after a few packets while the other
+ * three run to the end.
+ */
+TEST(LineCard, ChipDeathMidRunIsByteIdenticalAcrossCardJobs)
+{
+    core::ExperimentConfig cfg = smallConfig();
+    cfg.faultScale = 300.0;
+    npu::NpuConfig npuCfg;
+    npuCfg.peCount = 2;
+    CardConfig card;
+    card.chips = 4;
+    card.dram.banks = 4;
+
+    card.cardJobs = 1;
+    const CardRunResult serial = runCard(apps::appFactory("route"), cfg,
+                                         npuCfg, card, false, 1);
+    unsigned dead = 0;
+    for (const npu::ChipStreamResult &chip : serial.chips)
+        dead += chip.merged.fatal ? 1 : 0;
+    ASSERT_GE(dead, 1u) << "no chip died; raise the fault scale";
+    ASSERT_LT(dead, card.chips) << "every chip died; lower it";
+
+    const std::string ref = reprOf(serial);
+    for (const unsigned jobs : {2u, 3u, 8u}) {
+        card.cardJobs = jobs;
+        EXPECT_EQ(reprOf(runCard(apps::appFactory("route"), cfg, npuCfg,
+                                 card, false, 1)),
+                  ref)
+            << "card-jobs " << jobs;
     }
 }
 
@@ -289,3 +380,4 @@ TEST(LineCardConfig, ValidateRejectsNonsense)
         EXPECT_DEATH(card.validate(), "power of two");
     }
 }
+

@@ -608,7 +608,7 @@ TEST(NpuConfig, DvsModeNamesRoundTrip)
 /**
  * An unknown policy name must be a hard error that names the valid
  * choices — not a silent fall-through to round-robin. (The same
- * contract is checked end-to-end against the clumsy_npu binary by the
+ * contract is checked end-to-end against the clumsy_sim binary by the
  * cli_npu_* CTest cases in tools/CMakeLists.txt.)
  */
 TEST(NpuConfig, DispatchNamesRoundTrip)

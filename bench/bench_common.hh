@@ -16,6 +16,9 @@
 #ifndef CLUMSY_BENCH_COMMON_HH
 #define CLUMSY_BENCH_COMMON_HH
 
+#include <sched.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -23,6 +26,7 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
+#include "common/pool.hh"
 #include "common/table.hh"
 
 namespace clumsy::bench
@@ -74,6 +78,21 @@ struct Options
         std::fputc('\n', stdout);
     }
 };
+
+/**
+ * CPUs this process may run on (its affinity mask), at least 1. The
+ * perf benches record it as host_threads, so a run pinned with taskset
+ * reads as the 1-CPU run it is.
+ */
+inline unsigned
+cpusAvailable()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0)
+        return WorkStealingPool::hardwareWorkers();
+    return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
+}
 
 } // namespace clumsy::bench
 

@@ -29,7 +29,6 @@
  * time under 10% of CPU.
  */
 
-#include <sched.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -82,17 +81,6 @@ wallMsOf(const std::chrono::steady_clock::time_point start)
 {
     const auto dt = std::chrono::steady_clock::now() - start;
     return std::chrono::duration<double, std::milli>(dt).count();
-}
-
-/** CPUs this process may run on (its affinity mask), at least 1. */
-unsigned
-cpusAvailable()
-{
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    if (sched_getaffinity(0, sizeof(set), &set) != 0)
-        return WorkStealingPool::hardwareWorkers();
-    return std::max(1, CPU_COUNT(&set));
 }
 
 /** The process's {user, sys} CPU so far, milliseconds. */
@@ -258,7 +246,7 @@ main(int argc, char **argv)
     w.key("packets").value(static_cast<std::uint64_t>(opt.packets));
     w.key("trials").value(static_cast<std::uint64_t>(opt.trials));
     w.key("host_threads").value(
-        static_cast<std::uint64_t>(cpusAvailable()));
+        static_cast<std::uint64_t>(bench::cpusAvailable()));
     w.key("reps").value(std::uint64_t{kReps});
     w.key("config").beginObject();
     w.key("pes_per_chip").value(std::uint64_t{2});

@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
- * cache hit reads, fault-injector sampling, radix lookups, and one
- * full route packet. These guard the simulator's own performance
+ * cache hit reads (with and without a live injector), fault-injector
+ * sampling, radix lookups, one full route packet and url trace
+ * generation. These guard the simulator's own performance
  * (host side), not the modeled machine.
  */
 
@@ -30,6 +31,23 @@ BM_CacheHitRead(benchmark::State &state)
         benchmark::DoNotOptimize(proc.read32(addr));
 }
 BENCHMARK(BM_CacheHitRead);
+
+void
+BM_CacheHitReadLiveInjector(benchmark::State &state)
+{
+    // The paper's operating point: an over-clocked, parity-protected
+    // L1D whose every sensed read draws from the injector (faults at
+    // the model's own rate) and charges the Cr-scaled read energy.
+    core::ProcessorConfig config;
+    config.staticCr = 0.5;
+    config.hierarchy.scheme = mem::RecoveryScheme::TwoStrike;
+    core::ClumsyProcessor proc(config);
+    const SimAddr addr = proc.alloc(64, 64);
+    proc.write32(addr, 42);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(proc.read32(addr));
+}
+BENCHMARK(BM_CacheHitReadLiveInjector);
 
 void
 BM_CacheMissRead(benchmark::State &state)
@@ -93,6 +111,18 @@ BM_RoutePacket(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RoutePacket);
+
+void
+BM_UrlTraceGen(benchmark::State &state)
+{
+    // Each url packet draws a Zipf flow rank and a Zipf URL rank from
+    // one generator: two distributions alternating per packet.
+    setQuiet(true);
+    net::TraceGenerator gen(apps::makeApp("url")->traceConfig());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gen.next());
+}
+BENCHMARK(BM_UrlTraceGen);
 
 } // namespace
 

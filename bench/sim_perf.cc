@@ -17,10 +17,12 @@
  * number can never be committed for a path that changed the model.
  *
  * CI regenerates this JSON (--quick) and tools/check_perf.py gates on
- * the committed copy. The embedded pre_pr table holds the same cells
- * measured on the pre-rearchitecture tree (commit f4761ae) on the
- * reference container, so the committed file documents the speedup
- * the rearchitecture bought.
+ * the committed copy. host_threads counts the CPUs the process may run
+ * on, so a baseline recorded under taskset on one CPU only warns
+ * against a fresh multi-CPU run. The embedded pre_pr table holds the
+ * same cells measured on the pre-rearchitecture tree (commit f4761ae)
+ * on the reference container, so the committed file documents the
+ * speedup the rearchitecture bought.
  */
 
 #include <chrono>
@@ -28,10 +30,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/app.hh"
+#include "bench/bench_common.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "core/experiment.hh"
@@ -197,8 +199,7 @@ renderJson(const std::vector<Cell> &cells, std::uint64_t corePackets,
         out += buf;
     };
     add("{\n  \"bench\": \"sim_perf\",\n");
-    add("  \"host_threads\": %u,\n",
-        std::thread::hardware_concurrency());
+    add("  \"host_threads\": %u,\n", bench::cpusAvailable());
     add("  \"core_packets\": %llu,\n  \"chip_packets\": %llu,\n",
         static_cast<unsigned long long>(corePackets),
         static_cast<unsigned long long>(chipPackets));

@@ -20,12 +20,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -39,29 +33,9 @@ Rng::reseed(std::uint64_t seed)
     std::uint64_t x = seed;
     for (auto &word : s_)
         word = splitmix64(x);
-    zipfN_ = 0;
-    zipfCdf_.clear();
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    for (ZipfTable &table : zipf_)
+        table = ZipfTable{};
+    zipfLast_ = 0;
 }
 
 double
@@ -101,33 +75,41 @@ Rng::exponential(double rate)
     return -std::log(1.0 - uniform()) / rate;
 }
 
-void
-Rng::buildZipf(std::uint64_t n, double s)
+const std::vector<double> &
+Rng::zipfCdf(std::uint64_t n, double s)
 {
-    zipfN_ = n;
-    zipfS_ = s;
-    zipfCdf_.resize(n);
+    for (unsigned i = 0; i < 2; ++i) {
+        if (zipf_[i].n == n && zipf_[i].s == s) {
+            zipfLast_ = i;
+            return zipf_[i].cdf;
+        }
+    }
+    zipfLast_ ^= 1u;
+    ZipfTable &table = zipf_[zipfLast_];
+    table.n = n;
+    table.s = s;
+    table.cdf.resize(n);
     double sum = 0.0;
     for (std::uint64_t k = 1; k <= n; ++k) {
         sum += 1.0 / std::pow(static_cast<double>(k), s);
-        zipfCdf_[k - 1] = sum;
+        table.cdf[k - 1] = sum;
     }
-    for (auto &v : zipfCdf_)
+    for (auto &v : table.cdf)
         v /= sum;
+    return table.cdf;
 }
 
 std::uint64_t
 Rng::zipf(std::uint64_t n, double s)
 {
     CLUMSY_ASSERT(n > 0, "zipf() needs at least one item");
-    if (zipfN_ != n || zipfS_ != s)
-        buildZipf(n, s);
+    const std::vector<double> &cdf = zipfCdf(n, s);
     const double u = uniform();
     // Binary search the CDF for the first entry >= u.
     std::uint64_t lo = 0, hi = n - 1;
     while (lo < hi) {
         const std::uint64_t mid = (lo + hi) / 2;
-        if (zipfCdf_[mid] < u)
+        if (cdf[mid] < u)
             lo = mid + 1;
         else
             hi = mid;

@@ -29,10 +29,25 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** @return the next raw 64-bit output. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** @return a double uniformly distributed in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        // 53 high bits -> double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** @return a double uniformly distributed in [lo, hi). */
     double uniform(double lo, double hi);
@@ -48,7 +63,10 @@ class Rng
 
     /**
      * @return a 1-based rank sampled from a Zipf distribution with
-     * exponent s over n items (rank 1 most popular).
+     * exponent s over n items (rank 1 most popular). The CDFs of the
+     * last two distinct (n, s) pairs stay cached, so callers that
+     * alternate two distributions on one generator (flow pick, then
+     * URL or destination pick) do not rebuild a table per draw.
      */
     std::uint64_t zipf(std::uint64_t n, double s);
 
@@ -56,14 +74,27 @@ class Rng
     void reseed(std::uint64_t seed);
 
   private:
+    /** One cached Zipf CDF; n == 0 marks an empty slot. */
+    struct ZipfTable
+    {
+        std::uint64_t n = 0;
+        double s = 0.0;
+        std::vector<double> cdf;
+    };
+
     std::uint64_t s_[4];
 
-    // Cached CDF for zipf() — rebuilt when (n, s) changes.
-    std::uint64_t zipfN_ = 0;
-    double zipfS_ = 0.0;
-    std::vector<double> zipfCdf_;
+    // Two cached CDFs for zipf(); a miss rebuilds the slot that was
+    // not used last.
+    ZipfTable zipf_[2];
+    unsigned zipfLast_ = 0;
 
-    void buildZipf(std::uint64_t n, double s);
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    const std::vector<double> &zipfCdf(std::uint64_t n, double s);
 };
 
 } // namespace clumsy

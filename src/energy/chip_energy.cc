@@ -70,42 +70,6 @@ EnergyAccount::EnergyAccount(const EnergyModel *model) : model_(model)
     CLUMSY_ASSERT(model_ != nullptr, "energy account needs a model");
 }
 
-void
-EnergyAccount::addCoreCycles(double cycles)
-{
-    rest_ += cycles * model_->restPerCyclePj();
-}
-
-void
-EnergyAccount::addL1iRead()
-{
-    l1i_ += model_->l1iReadPj();
-}
-
-void
-EnergyAccount::addL1dRead(double cr, Protection prot)
-{
-    l1d_ += model_->l1dReadPj(cr, prot);
-}
-
-void
-EnergyAccount::addL1dWrite(double cr, Protection prot)
-{
-    l1d_ += model_->l1dWritePj(cr, prot);
-}
-
-void
-EnergyAccount::addL2Access()
-{
-    l2_ += model_->l2AccessPj();
-}
-
-void
-EnergyAccount::addMemAccess()
-{
-    mem_ += model_->memAccessPj();
-}
-
 PicoJoules
 EnergyAccount::totalPj() const
 {

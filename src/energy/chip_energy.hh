@@ -117,22 +117,35 @@ class EnergyAccount
     explicit EnergyAccount(const EnergyModel *model);
 
     /** Charge rest-of-chip energy for elapsed base cycles. */
-    void addCoreCycles(double cycles);
+    void addCoreCycles(double cycles)
+    {
+        rest_ += cycles * model_->restPerCyclePj();
+    }
 
     /** Charge one I-cache fetch. */
-    void addL1iRead();
+    void addL1iRead() { l1i_ += model_->l1iReadPj(); }
 
     /** Charge one D-cache read at the cache's current cycle time. */
-    void addL1dRead(double cr, Protection prot);
+    void addL1dRead(double cr, Protection prot)
+    {
+        if (cr != read_.cr || prot != read_.prot)
+            read_ = L1dMemo{cr, prot, model_->l1dReadPj(cr, prot)};
+        l1d_ += read_.pj;
+    }
 
     /** Charge one D-cache write. */
-    void addL1dWrite(double cr, Protection prot);
+    void addL1dWrite(double cr, Protection prot)
+    {
+        if (cr != write_.cr || prot != write_.prot)
+            write_ = L1dMemo{cr, prot, model_->l1dWritePj(cr, prot)};
+        l1d_ += write_.pj;
+    }
 
     /** Charge one L2 access. */
-    void addL2Access();
+    void addL2Access() { l2_ += model_->l2AccessPj(); }
 
     /** Charge one DRAM access. */
-    void addMemAccess();
+    void addMemAccess() { mem_ += model_->memAccessPj(); }
 
     /** Total energy so far, pJ. */
     PicoJoules totalPj() const;
@@ -150,8 +163,22 @@ class EnergyAccount
     void reset();
 
   private:
+    /**
+     * The per-access D-cache energy at the last (cr, protection) seen.
+     * Cr only changes at DVS switches, so the exp() behind the swing
+     * scaling runs once per switch instead of once per access; the
+     * cached value is the very double the model returns.
+     */
+    struct L1dMemo
+    {
+        double cr = -1.0; ///< never a valid cycle time: first use misses
+        Protection prot = Protection::None;
+        PicoJoules pj = 0;
+    };
+
     const EnergyModel *model_;
     PicoJoules rest_ = 0, l1i_ = 0, l1d_ = 0, l2_ = 0, mem_ = 0;
+    L1dMemo read_, write_;
 };
 
 } // namespace clumsy::energy

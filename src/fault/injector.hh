@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "fault/fault_map.hh"
@@ -67,7 +68,25 @@ class FaultInjector
      * @return the (possibly corrupted) word.
      */
     std::uint32_t corrupt(std::uint32_t value, unsigned bits,
-                          FaultEvent *ev = nullptr);
+                          FaultEvent *ev = nullptr)
+    {
+        CLUMSY_ASSERT(bits >= 1 && bits <= 32, "access width %u bits",
+                      bits);
+        ++accesses_;
+        if (ev)
+            *ev = FaultEvent{};
+        if (!enabled_)
+            return value;
+
+        // One uniform draw decides among {clean, 1-bit, 2-bit, 3-bit}.
+        // Fault probabilities are ~1e-7..1e-5, so treating the events
+        // as mutually exclusive biases results by < 1e-10 per access.
+        const double p1 = p1PerBit_ * bits;
+        const double u = rng_.uniform();
+        if (u >= p1 + p2Word_ + p3Word_)
+            return value;
+        return injectFlips(value, bits, u, p1, ev);
+    }
 
     /**
      * Attach a weak-cell map (not owned; nullptr detaches): injection
@@ -138,6 +157,14 @@ class FaultInjector
 
     /** Recompute cellPEff_ for the current cycle time. */
     void retuneMapPlane();
+
+    /**
+     * The faulty branch of corrupt(): draw u fell below the total
+     * fault probability, so flip 1, 2 or 3 adjacent bits (p1 is the
+     * width-scaled single-bit probability).
+     */
+    std::uint32_t injectFlips(std::uint32_t value, unsigned bits,
+                              double u, double p1, FaultEvent *ev);
 };
 
 } // namespace clumsy::fault

@@ -53,14 +53,6 @@ BackingStore::BackingStore(SimSize size)
     // loop budgets).
 }
 
-bool
-BackingStore::contains(SimAddr addr, SimSize len) const
-{
-    // Guard the addition against 32-bit wraparound.
-    const std::uint64_t end = std::uint64_t{addr} + len;
-    return end <= size_;
-}
-
 const std::uint8_t *
 BackingStore::pageForRead(SimAddr addr) const
 {

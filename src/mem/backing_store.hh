@@ -38,7 +38,12 @@ class BackingStore
     explicit BackingStore(SimSize size);
 
     /** @return true when [addr, addr+len) lies inside the memory. */
-    bool contains(SimAddr addr, SimSize len) const;
+    bool contains(SimAddr addr, SimSize len) const
+    {
+        // Guard the addition against 32-bit wraparound.
+        const std::uint64_t end = std::uint64_t{addr} + len;
+        return end <= size_;
+    }
 
     /** Read one byte; addr must be in range. */
     std::uint8_t read8(SimAddr addr) const;

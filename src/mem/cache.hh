@@ -72,16 +72,30 @@ class Cache
      * Look up the line containing addr, updating LRU and hit/miss
      * counters. @return true on hit.
      */
-    bool lookup(SimAddr addr)
+    bool lookup(SimAddr addr) { return lookupLine(addr) >= 0; }
+
+    /**
+     * lookup() that also names the line: @return the hit's flat line
+     * index (set * assoc + way), or -1 on a miss. The index stays
+     * valid until the next fill, invalidate or reset, and lets the
+     * *At() accessors skip the tag probe.
+     */
+    std::ptrdiff_t lookupLine(SimAddr addr)
     {
         const std::ptrdiff_t line = findLine(addr);
         if (line < 0) {
             ++*misses_;
-            return false;
+            return -1;
         }
         ++*hits_;
         lru_[static_cast<std::size_t>(line)] = ++tick_;
-        return true;
+        return line;
+    }
+
+    /** Flat line index of the (present) line containing addr. */
+    std::size_t lineIndexOf(SimAddr addr) const
+    {
+        return mustFindLine(addr);
     }
 
     /**
@@ -156,8 +170,13 @@ class Cache
      *  4-aligned. */
     std::uint32_t readWordRaw(SimAddr addr) const
     {
+        return readWordAt(mustFindLine(addr), addr);
+    }
+
+    /** readWordRaw() of the word at addr inside line (lookupLine()). */
+    std::uint32_t readWordAt(std::size_t line, SimAddr addr) const
+    {
         CLUMSY_ASSERT(addr % 4 == 0, "word access must be 4-aligned");
-        const std::size_t line = mustFindLine(addr);
         std::uint32_t v;
         std::memcpy(&v,
                     &data_[line * geom_.lineBytes +
@@ -186,8 +205,13 @@ class Cache
     /** The stored check bits guarding the word at addr. */
     std::uint8_t wordCheck(SimAddr addr) const
     {
+        return wordCheckAt(mustFindLine(addr), addr);
+    }
+
+    /** wordCheck() of the word at addr inside line (lookupLine()). */
+    std::uint8_t wordCheckAt(std::size_t line, SimAddr addr) const
+    {
         CLUMSY_ASSERT(addr % 4 == 0, "word access must be 4-aligned");
-        const std::size_t line = mustFindLine(addr);
         return check_[line * wordsPerLine_ +
                       ((addr & (geom_.lineBytes - 1)) / 4)];
     }

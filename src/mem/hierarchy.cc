@@ -34,7 +34,8 @@ MemHierarchy::MemHierarchy(const HierarchyConfig &config,
     privateL2_.bind(&l2_, store_, energy_, &stats_);
     l2b_ = &privateL2_;
     l2LineScratch_.resize(config_.l2.lineBytes);
-    l1LineScratch_.resize(config_.l1d.lineBytes);
+    l1LineScratch_.resize(
+        std::max(config_.l1d.lineBytes, config_.l1i.lineBytes));
     if (config_.wayDisable.enabled())
         frameStrikes_.assign(
             std::size_t{config_.l1d.sets()} * config_.l1d.assoc, 0);
@@ -114,7 +115,7 @@ MemHierarchy::writebackToL2(B &l2b, const Cache::Evicted &evicted,
 }
 
 void
-MemHierarchy::corruptFilledLine(SimAddr lineBase)
+MemHierarchy::corruptFilledLine(SimAddr lineBase, std::size_t line)
 {
     if (!config_.injectOnFill || !injector_->enabled())
         return;
@@ -125,7 +126,7 @@ MemHierarchy::corruptFilledLine(SimAddr lineBase)
         const std::uint32_t stored =
             injector_->mapAttached()
                 ? injector_->corruptMapped(intended, 32,
-                                           mapSlotOf(wordAddr), &ev)
+                                           mapSlotOf(line, wordAddr), &ev)
                 : injector_->corrupt(intended, 32, &ev);
         if (ev.flippedBits) {
             l1d_.writeWordRaw(wordAddr, stored,
@@ -136,11 +137,9 @@ MemHierarchy::corruptFilledLine(SimAddr lineBase)
 }
 
 template <typename B>
-void
-MemHierarchy::ensureL1D(B &l2b, SimAddr addr, Access &acc)
+std::size_t
+MemHierarchy::fillL1D(B &l2b, SimAddr addr, Access &acc)
 {
-    if (l1d_.lookup(addr))
-        return;
     ensureL2(l2b, addr, acc);
     const SimAddr base = l1d_.lineBase(addr);
     // The containing L2 line is now resident; copy our slice of it.
@@ -149,24 +148,36 @@ MemHierarchy::ensureL1D(B &l2b, SimAddr addr, Access &acc)
         std::memcpy(&l1LineScratch_[off], &w, 4);
     }
     const Cache::Evicted victim = l1d_.fill(base, l1LineScratch_.data());
+    const std::size_t line = l1d_.lineIndexOf(base);
     if (energy_)
         energy_->addL1dWrite(cr_, protection());
-    corruptFilledLine(base);
+    corruptFilledLine(base, line);
     writebackToL2(l2b, victim, acc);
+    return line;
 }
 
-std::uint32_t
-MemHierarchy::senseWord(SimAddr wordAddr, Access &acc)
+template <typename B>
+inline std::size_t
+MemHierarchy::ensureL1D(B &l2b, SimAddr addr, Access &acc)
+{
+    const std::ptrdiff_t line = l1d_.lookupLine(addr);
+    if (line >= 0)
+        return static_cast<std::size_t>(line);
+    return fillL1D(l2b, addr, acc);
+}
+
+inline std::uint32_t
+MemHierarchy::senseWord(std::size_t line, SimAddr wordAddr, Access &acc)
 {
     acc.latency += l1dHitQuanta();
     if (energy_)
         energy_->addL1dRead(cr_, protection());
     ++*senses_;
-    const std::uint32_t raw = l1d_.readWordRaw(wordAddr);
+    const std::uint32_t raw = l1d_.readWordAt(line, wordAddr);
     fault::FaultEvent ev;
     const std::uint32_t sensed =
         injector_->mapAttached()
-            ? injector_->corruptMapped(raw, 32, mapSlotOf(wordAddr),
+            ? injector_->corruptMapped(raw, 32, mapSlotOf(line, wordAddr),
                                        &ev)
             : injector_->corrupt(raw, 32, &ev);
     if (ev.flippedBits) {
@@ -194,15 +205,15 @@ MemHierarchy::noteStrikeAndMaybeRetire(SimAddr wordAddr)
                                         : RetireOutcome::SetDead;
 }
 
-bool
-MemHierarchy::checkSensedWord(std::uint32_t sensed, SimAddr wordAddr,
-                              std::uint32_t &value)
+inline bool
+MemHierarchy::checkSensedWord(std::uint32_t sensed, std::size_t line,
+                              SimAddr wordAddr, std::uint32_t &value)
 {
     if (!detectionOn()) {
         value = sensed;
         return true;
     }
-    const std::uint8_t check = l1d_.wordCheck(wordAddr);
+    const std::uint8_t check = l1d_.wordCheckAt(line, wordAddr);
     if (config_.codec == CheckCodec::Secded) {
         const secded::Decoded dec = secded::decode(sensed, check);
         switch (dec.status) {
@@ -231,7 +242,7 @@ MemHierarchy::readImpl(B &l2b, SimAddr addr, unsigned bytes)
 {
     CLUMSY_ASSERT(bytes == 1 || bytes == 2 || bytes == 4,
                   "access width must be 1, 2 or 4 bytes");
-    if (addr % bytes != 0) {
+    if ((addr & (bytes - 1)) != 0) {
         // ARM-style forced alignment for corrupted addresses.
         stats_.inc("unaligned_reads");
         addr &= ~SimAddr{bytes - 1};
@@ -262,14 +273,14 @@ MemHierarchy::readImpl(B &l2b, SimAddr addr, unsigned bytes)
             bytes == 4 ? word : bitField(word, shift, bytes * 8);
         return acc;
     }
-    ensureL1D(l2b, wordAddr, acc);
+    std::size_t line = ensureL1D(l2b, wordAddr, acc);
 
     const unsigned attempts = readAttempts(config_.scheme);
     std::uint32_t sensed = 0;
     bool resolved = false;
     for (unsigned attempt = 1; attempt <= attempts; ++attempt) {
-        sensed = senseWord(wordAddr, acc);
-        if (checkSensedWord(sensed, wordAddr, sensed)) {
+        sensed = senseWord(line, wordAddr, acc);
+        if (checkSensedWord(sensed, line, wordAddr, sensed)) {
             resolved = true;
             break;
         }
@@ -311,7 +322,7 @@ MemHierarchy::readImpl(B &l2b, SimAddr addr, unsigned bytes)
             if (retired == RetireOutcome::SetAlive) {
                 // The line went down with its retired frame; refill
                 // into one of the set's surviving ways.
-                ensureL1D(l2b, wordAddr, acc);
+                line = ensureL1D(l2b, wordAddr, acc);
             } else if (config_.subBlockRecovery) {
                 // Refetch only the faulted word (paper footnote 2):
                 // the rest of the line — including its other dirty
@@ -323,10 +334,10 @@ MemHierarchy::readImpl(B &l2b, SimAddr addr, unsigned bytes)
                                   l1d_.computeCheck(fresh));
             } else {
                 l1d_.invalidate(wordAddr);
-                ensureL1D(l2b, wordAddr, acc);
+                line = ensureL1D(l2b, wordAddr, acc);
             }
-            sensed = senseWord(wordAddr, acc);
-            if (!checkSensedWord(sensed, wordAddr, sensed)) {
+            sensed = senseWord(line, wordAddr, acc);
+            if (!checkSensedWord(sensed, line, wordAddr, sensed)) {
                 // The refetched copy also sensed faulty: bypass the L1
                 // and serve the L2's word directly.
                 stats_.inc("l2_bypasses");
@@ -354,7 +365,7 @@ MemHierarchy::writeImpl(B &l2b, SimAddr addr, unsigned bytes,
 {
     CLUMSY_ASSERT(bytes == 1 || bytes == 2 || bytes == 4,
                   "access width must be 1, 2 or 4 bytes");
-    if (addr % bytes != 0) {
+    if ((addr & (bytes - 1)) != 0) {
         stats_.inc("unaligned_writes");
         addr &= ~SimAddr{bytes - 1};
     }
@@ -389,7 +400,7 @@ MemHierarchy::writeImpl(B &l2b, SimAddr addr, unsigned bytes,
         l2b.writeRange(wordAddr, buf, 4, true);
         return acc;
     }
-    ensureL1D(l2b, wordAddr, acc);
+    const std::size_t line = ensureL1D(l2b, wordAddr, acc);
 
     // Sub-word stores are a masked read-modify-write of the stored
     // word; the merge path is internal and not subject to sensing
@@ -398,7 +409,7 @@ MemHierarchy::writeImpl(B &l2b, SimAddr addr, unsigned bytes,
     if (bytes == 4) {
         intended = value;
     } else {
-        const std::uint32_t raw = l1d_.readWordRaw(wordAddr);
+        const std::uint32_t raw = l1d_.readWordAt(line, wordAddr);
         const unsigned shift = (addr & 3u) * 8;
         const std::uint32_t mask =
             ((bytes == 1 ? 0xffu : 0xffffu)) << shift;
@@ -409,7 +420,7 @@ MemHierarchy::writeImpl(B &l2b, SimAddr addr, unsigned bytes,
     const std::uint32_t stored =
         injector_->mapAttached()
             ? injector_->corruptMapped(intended, 32,
-                                       mapSlotOf(wordAddr), &ev)
+                                       mapSlotOf(line, wordAddr), &ev)
             : injector_->corrupt(intended, 32, &ev);
     if (ev.flippedBits) {
         ++acc.faultsInjected;
@@ -440,13 +451,12 @@ MemHierarchy::fetchImpl(B &l2b, SimAddr pc)
         return acc; // pipelined fetch: no visible stall
     ensureL2(l2b, lineAddr, acc);
     const SimAddr base = l1i_.lineBase(lineAddr);
-    std::vector<std::uint8_t> buf(config_.l1i.lineBytes);
     for (SimAddr off = 0; off < config_.l1i.lineBytes; off += 4) {
         const std::uint32_t w = l2b.readWordRaw(base + off);
-        std::memcpy(&buf[off], &w, 4);
+        std::memcpy(&l1LineScratch_[off], &w, 4);
     }
     // Instruction lines are clean; evictions never write back.
-    (void)l1i_.fill(base, buf.data());
+    (void)l1i_.fill(base, l1LineScratch_.data());
     return acc;
 }
 

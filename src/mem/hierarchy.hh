@@ -103,7 +103,8 @@ struct Access
      * MSHR merging. Sized for the deepest access the recovery
      * machinery can produce (ensure + strike writeback + refetch +
      * bypass); overflow silently drops events, which only forgoes a
-     * merge opportunity — never correctness.
+     * merge opportunity — never correctness. Entries past
+     * l2LineCount are left uninitialized.
      */
     static constexpr unsigned kMaxL2Lines = 8;
     L2LineUse l2Lines[kMaxL2Lines];
@@ -247,8 +248,9 @@ class MemHierarchy
 
     /**
      * Reusable line buffers for the refill paths. ensureL2 owns
-     * l2LineScratch_ and the L1 fill/strike paths own l1LineScratch_;
-     * the nesting is strictly L1-path -> ensureL2, never the reverse,
+     * l2LineScratch_ and the L1D fill/strike paths and the L1I miss
+     * path own l1LineScratch_ (sized for the larger L1 line); the
+     * nesting is strictly L1-path -> ensureL2, never the reverse,
      * and each path finishes consuming its buffer before any call
      * that could overwrite it, so one buffer per level suffices and
      * the per-miss heap allocation disappears from the hot loop.
@@ -278,16 +280,14 @@ class MemHierarchy
     bool retireOn() const { return config_.wayDisable.enabled(); }
 
     /**
-     * Fault-map word slot of the L1D frame currently holding
-     * wordAddr (the line must be present).
+     * Fault-map word slot of wordAddr in the L1D frame `line` (the
+     * flat set * assoc + way index the line occupies).
      */
-    std::uint32_t mapSlotOf(SimAddr wordAddr) const
+    std::uint32_t mapSlotOf(std::size_t line, SimAddr wordAddr) const
     {
-        const std::uint32_t set = l1d_.setIndexOf(wordAddr);
-        const unsigned way = l1d_.wayOf(wordAddr);
         const std::uint32_t wordIdx = static_cast<std::uint32_t>(
             (wordAddr & (config_.l1d.lineBytes - 1)) / 4);
-        return (set * config_.l1d.assoc + way) *
+        return static_cast<std::uint32_t>(line) *
                    (config_.l1d.lineBytes / 4) +
                wordIdx;
     }
@@ -322,8 +322,8 @@ class MemHierarchy
      * the access is resolved (value set to the accepted — possibly
      * ECC-corrected — word); false when the detection tripped.
      */
-    bool checkSensedWord(std::uint32_t sensed, SimAddr wordAddr,
-                         std::uint32_t &value);
+    bool checkSensedWord(std::uint32_t sensed, std::size_t line,
+                         SimAddr wordAddr, std::uint32_t &value);
 
     /** L1D hit latency at the current cycle time, in quanta. */
     Quanta l1dHitQuanta() const { return l1dQuanta_; }
@@ -347,9 +347,19 @@ class MemHierarchy
     template <typename B>
     void ensureL2(B &l2b, SimAddr addr, Access &acc);
 
-    /** Bring the L1D line containing addr in via L2. */
+    /**
+     * Bring the L1D line containing addr in via L2. @return its flat
+     * line index, which the word accesses that follow reuse. The hit
+     * (one tag probe) inlines into the access paths; fillL1D takes
+     * the miss.
+     */
     template <typename B>
-    void ensureL1D(B &l2b, SimAddr addr, Access &acc);
+    std::size_t ensureL1D(B &l2b, SimAddr addr, Access &acc);
+
+    /** The L1D miss: refill the line from the L2, evicting a victim;
+     *  @return the new line's flat index. */
+    template <typename B>
+    std::size_t fillL1D(B &l2b, SimAddr addr, Access &acc);
 
     /** Write back an evicted dirty L1 line into the L2. */
     template <typename B>
@@ -371,11 +381,14 @@ class MemHierarchy
         return l2b_ == &privateL2_ && !config_.forceGenericL2;
     }
 
-    /** Fill corruption pass over a just-installed L1D line. */
-    void corruptFilledLine(SimAddr lineBase);
+    /** Fill corruption pass over the L1D line just installed at
+     *  flat index `line`. */
+    void corruptFilledLine(SimAddr lineBase, std::size_t line);
 
-    /** One sensed read of the word at wordAddr (injection applied). */
-    std::uint32_t senseWord(SimAddr wordAddr, Access &acc);
+    /** One sensed read of the word at wordAddr in the L1D line at
+     *  flat index `line` (injection applied). */
+    std::uint32_t senseWord(std::size_t line, SimAddr wordAddr,
+                            Access &acc);
 };
 
 } // namespace clumsy::mem

@@ -39,9 +39,13 @@ namespace clumsy::mem
  */
 struct L2LineUse
 {
-    SimAddr base = 0;      ///< L2 line base address
-    bool miss = false;     ///< the use transferred the line from DRAM
-    bool shareable = false; ///< other engines may hit this transfer
+    // No member initializers on purpose: every mem::Access carries
+    // eight of these and only the first l2LineCount are ever read.
+    // Zero-filling all eight on each simulated access took about a
+    // third of an L1D hit's host time.
+    SimAddr base;   ///< L2 line base address
+    bool miss;      ///< the use transferred the line from DRAM
+    bool shareable; ///< other engines may hit this transfer
 };
 
 /** Contention model for a shared L2 access port. */

@@ -19,8 +19,8 @@ SharedL2Port::requestPort(unsigned requester, Quanta endTime,
     const Quanta service =
         static_cast<Quanta>(l2Accesses - l2Misses) * hitService_ +
         static_cast<Quanta>(l2Misses) * missService_;
-    stats_.inc("requests");
-    stats_.inc("port_uses", l2Accesses);
+    ++*requests_;
+    *portUses_ += l2Accesses;
     if (service == 0)
         return 0;
 
@@ -50,15 +50,15 @@ SharedL2Port::requestPort(unsigned requester, Quanta endTime,
             continue;
         if (it->second.end > begin) {
             begin = it->second.end;
-            stats_.inc("mshr_merges");
+            ++*mshrMerges_;
         }
     }
 
     const Quanta delay = begin - start;
     *slot = begin + service;
     if (delay > 0) {
-        stats_.inc("contended");
-        stats_.inc("wait_quanta", static_cast<std::uint64_t>(delay));
+        ++*contended_;
+        *waitQuanta_ += static_cast<std::uint64_t>(delay);
     }
 
     // Modeled DRAM behind the port (line card): every miss line is one
@@ -82,15 +82,14 @@ SharedL2Port::requestPort(unsigned requester, Quanta endTime,
         if (dram_ != nullptr) {
             extra = dram_->request(dramSalt_ + lines[i].base, dramReq);
             dramExtra = std::max(dramExtra, extra);
-            stats_.inc("dram_requests");
+            ++*dramRequests_;
         }
         if (!lines[i].shareable)
             continue;
         inflight_[lines[i].base] = Inflight{requester, *slot + extra};
     }
     if (dramExtra > 0)
-        stats_.inc("dram_extra_quanta",
-                    static_cast<std::uint64_t>(dramExtra));
+        *dramExtraQuanta_ += static_cast<std::uint64_t>(dramExtra);
 
     // Bound the table: entries whose transfer has completed relative
     // to the current window can never merge again.

@@ -85,9 +85,18 @@ class SharedL2Port : public mem::L2PortArbiter
     SharedL2Port(Quanta hitService, Quanta missService,
                  unsigned mshrs = 1)
         : hitService_(hitService), missService_(missService),
-          slots_(mshrs, 0)
+          slots_(mshrs, 0),
+          requests_(stats_.slot("requests")),
+          portUses_(stats_.slot("port_uses")),
+          contended_(stats_.slot("contended")),
+          waitQuanta_(stats_.slot("wait_quanta")),
+          mshrMerges_(stats_.slot("mshr_merges"))
     {
     }
+
+    // The interned counters point into this object's own stats_.
+    SharedL2Port(const SharedL2Port &) = delete;
+    SharedL2Port &operator=(const SharedL2Port &) = delete;
 
     Quanta requestPort(unsigned requester, Quanta endTime,
                        unsigned l2Accesses, unsigned l2Misses,
@@ -118,6 +127,8 @@ class SharedL2Port : public mem::L2PortArbiter
         dram_ = dram;
         dramSalt_ = addrSalt;
         dramFlat_ = flatQuanta;
+        dramRequests_ = stats_.slot("dram_requests");
+        dramExtraQuanta_ = stats_.slot("dram_extra_quanta");
     }
 
     /** Chip time the last MSHR frees up (port fully idle after). */
@@ -149,6 +160,16 @@ class SharedL2Port : public mem::L2PortArbiter
     std::uint64_t dramSalt_ = 0;        ///< chip offset into DRAM space
     Quanta dramFlat_ = 0; ///< flat penalty already inside endTime
     StatGroup stats_{"l2port"};
+
+    // Interned per-request counters (stable pointers into stats_); the
+    // DRAM pair is resolved by attachDram().
+    std::uint64_t *requests_;
+    std::uint64_t *portUses_;
+    std::uint64_t *contended_;
+    std::uint64_t *waitQuanta_;
+    std::uint64_t *mshrMerges_;
+    std::uint64_t *dramRequests_ = nullptr;
+    std::uint64_t *dramExtraQuanta_ = nullptr;
 
     /** Line base -> in-flight shareable transfer (merge window). */
     std::unordered_map<SimAddr, Inflight> inflight_;

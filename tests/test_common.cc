@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/bitops.hh"
 #include "common/random.hh"
@@ -98,6 +99,56 @@ TEST(Rng, ZipfRankOneMostPopular)
         EXPECT_GT(counts[0], counts[k]);
     // Rank 1 should get ~1/H(10) = 34% of the mass at s = 1.
     EXPECT_NEAR(counts[0] / 50000.0, 0.341, 0.02);
+}
+
+namespace
+{
+
+/** zipf() as it was with no table cache: build the CDF, then search. */
+std::uint64_t
+zipfRebuilt(Rng &rng, std::uint64_t n, double s)
+{
+    std::vector<double> cdf(n);
+    double sum = 0.0;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+        sum += 1.0 / std::pow(static_cast<double>(k), s);
+        cdf[k - 1] = sum;
+    }
+    for (auto &v : cdf)
+        v /= sum;
+    const double u = rng.uniform();
+    std::uint64_t lo = 0, hi = n - 1;
+    while (lo < hi) {
+        const std::uint64_t mid = (lo + hi) / 2;
+        if (cdf[mid] < u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo + 1;
+}
+
+} // namespace
+
+TEST(Rng, AlternatingZipfTablesMatchRebuiltReference)
+{
+    // The url trace alternates a flow pick and a URL pick on one
+    // generator. Third distributions, one differing only in s, evict
+    // one of the two cached tables now and then.
+    struct Dist
+    {
+        std::uint64_t n;
+        double s;
+    };
+    const Dist kDists[] = {{512, 0.8}, {96, 1.0}, {512, 0.8}, {96, 1.0},
+                           {10, 1.3},  {96, 1.0}, {96, 0.5},  {96, 1.0}};
+    Rng cached(17), reference(17);
+    for (int i = 0; i < 1600; ++i) {
+        const Dist &d = kDists[i % 8];
+        ASSERT_EQ(cached.zipf(d.n, d.s), zipfRebuilt(reference, d.n, d.s))
+            << "draw " << i << ": zipf(" << d.n << ", " << d.s << ")";
+    }
+    EXPECT_EQ(cached.next(), reference.next());
 }
 
 TEST(Accumulator, Moments)

@@ -130,6 +130,49 @@ TEST(EnergyAccount, AccumulatesByEvent)
     EXPECT_DOUBLE_EQ(account.totalPj(), 0.0);
 }
 
+TEST(EnergyAccount, MemoisedL1dChargesEqualDirectModelSums)
+{
+    // DVS switches and protection changes interleaved with reads and
+    // writes, returning to earlier operating points: the account's
+    // per-(cr, protection) memo must add exactly the doubles the model
+    // returns, in the same order.
+    struct Step
+    {
+        double cr;
+        Protection prot;
+        bool write;
+    };
+    const Step kSteps[] = {
+        {1.0, Protection::None, false},   {1.0, Protection::None, true},
+        {0.5, Protection::None, false},   {0.5, Protection::Parity, false},
+        {0.5, Protection::Parity, true},  {0.75, Protection::Parity, false},
+        {0.25, Protection::Secded, true}, {0.25, Protection::Secded, false},
+        {0.5, Protection::Parity, false}, {1.0, Protection::None, true},
+        {0.75, Protection::Parity, true}, {0.25, Protection::Parity, false},
+    };
+    const EnergyModel model(EnergyParams{}, kL1, kL1i, kL2);
+    EnergyAccount account(&model);
+    double expected = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+        for (const Step &st : kSteps) {
+            for (int i = 0; i < 3; ++i) {
+                if (st.write) {
+                    account.addL1dWrite(st.cr, st.prot);
+                    expected += model.l1dWritePj(st.cr, st.prot);
+                } else {
+                    account.addL1dRead(st.cr, st.prot);
+                    expected += model.l1dReadPj(st.cr, st.prot);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(account.l1dPj(), expected);
+    // reset() zeroes the totals; the memo stays valid across it.
+    account.reset();
+    account.addL1dRead(0.25, Protection::Parity);
+    EXPECT_EQ(account.l1dPj(), model.l1dReadPj(0.25, Protection::Parity));
+}
+
 TEST(ChipEnergy, OverClockingSavesCacheEnergy)
 {
     // The headline direction: at Cr = 0.25 the D-cache spends less

@@ -197,8 +197,8 @@ TEST_P(GoldenTrace, MatchesCorpus)
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GoldenTrace,
                          ::testing::ValuesIn(kCases),
-                         [](const auto &info) {
-                             return std::string(info.param.name);
+                         [](const auto &test) {
+                             return std::string(test.param.name);
                          });
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bitops.hh"
+#include "common/random.hh"
 #include "fault/injector.hh"
 
 using namespace clumsy;
@@ -89,9 +90,10 @@ TEST(Injector, MaskStaysInsideAccessWidth)
         for (int i = 0; i < 2000; ++i) {
             FaultEvent ev;
             injector.corrupt(0, bits, &ev);
-            if (bits < 32)
+            if (bits < 32) {
                 EXPECT_EQ(ev.mask >> bits, 0u)
                     << "mask escaped " << bits << "-bit access";
+            }
         }
     }
 }
@@ -159,6 +161,58 @@ TEST(Injector, ResetStatsClearsCounters)
     injector.resetStats();
     EXPECT_EQ(injector.faultCount(), 0u);
     EXPECT_EQ(injector.accessCount(), 0u);
+}
+
+TEST(Injector, TwinRngReproducesEveryDraw)
+{
+    // A clean access takes exactly one uniform; a faulty one takes
+    // that uniform plus one below(bits) for the flip position. A twin
+    // Rng on the same seed, fed the model's thresholds, therefore
+    // reproduces the whole fault sequence; disabled accesses take no
+    // draw at all.
+    const std::uint64_t seed = 29;
+    auto injector = boostedInjector(3e3, seed);
+    const double cr = 0.5;
+    injector.setCycleTime(cr);
+    const FaultModel &model = injector.model();
+    const double p2 = model.multiBitFaultProb(2, cr);
+    const double p3 = model.multiBitFaultProb(3, cr);
+    Rng twin(seed);
+    std::uint64_t faults = 0;
+    const unsigned kWidths[] = {32, 8, 16, 32, 1};
+    for (int i = 0; i < 40000; ++i) {
+        const unsigned bits = kWidths[i % 5];
+        if (i % 7 == 3) {
+            injector.setEnabled(false);
+            FaultEvent ev;
+            EXPECT_EQ(injector.corrupt(0xa5a5a5a5u, bits, &ev),
+                      0xa5a5a5a5u);
+            EXPECT_EQ(ev.flippedBits, 0u);
+            injector.setEnabled(true);
+            continue;
+        }
+        const double p1 = model.bitFaultProb(cr) * bits;
+        const double u = twin.uniform();
+        unsigned nflips = 0;
+        std::uint32_t mask = 0;
+        if (u < p1 + p2 + p3) {
+            nflips = u < p1 ? 1 : (u < p1 + p2 ? 2 : 3);
+            const auto pos = static_cast<unsigned>(twin.below(bits));
+            for (unsigned k = 0; k < nflips; ++k)
+                mask |= std::uint32_t{1} << ((pos + k) % bits);
+            ++faults;
+        }
+        FaultEvent ev;
+        const std::uint32_t value = static_cast<std::uint32_t>(i);
+        ASSERT_EQ(injector.corrupt(value, bits, &ev), value ^ mask)
+            << "access " << i;
+        ASSERT_EQ(ev.flippedBits, nflips) << "access " << i;
+        ASSERT_EQ(ev.mask, mask) << "access " << i;
+    }
+    EXPECT_GT(faults, 20u); // the faulty branch was exercised
+    EXPECT_LT(faults, 4000u);
+    EXPECT_EQ(injector.faultCount(), faults);
+    EXPECT_EQ(injector.accessCount(), 40000u);
 }
 
 TEST(InjectorDeath, RejectsBadWidth)

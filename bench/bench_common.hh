@@ -9,6 +9,10 @@
  *   --csv         print CSV instead of aligned tables
  *   --quick       1/4 of the default packets and trials (CI mode)
  *
+ * The perf benches that keep a JSON record (card_scale, chip_perf,
+ * traffic_scale) also accept --out FILE and write the record only
+ * there, never over the committed BENCH_*.json by default.
+ *
  * Bare arguments (workload names, "all") are collected into
  * positionals for benches that take them.
  */
@@ -39,10 +43,12 @@ struct Options
     unsigned trials;
     unsigned jobs = 0; ///< 0 = all hardware threads
     bool csv = false;
+    std::string out; ///< --out FILE (JSON-record benches); empty = none
     std::vector<std::string> positionals;
 
+    /** @param jsonOut register --out (the bench keeps a JSON record). */
     Options(int argc, char **argv, std::uint64_t defPackets,
-            unsigned defTrials)
+            unsigned defTrials, bool jsonOut = false)
         : packets(defPackets), trials(defTrials)
     {
         cli::ArgParser parser(argv && argv[0] ? argv[0] : "bench",
@@ -57,6 +63,11 @@ struct Options
             &jobs);
         parser.flag("--csv", "print CSV instead of aligned tables",
                     &csv);
+        if (jsonOut)
+            parser.optString("--out", "FILE",
+                             "write the JSON record to this path "
+                             "(default: not written)",
+                             &out);
         parser.flag("--quick",
                     "1/4 of the default packets and trials (CI mode)",
                     [this, defPackets, defTrials]() {
@@ -69,6 +80,26 @@ struct Options
                           });
         parser.parse(argc, argv);
         setQuiet(true);
+    }
+
+    /**
+     * Write a JSON record to the --out path, if one was given.
+     * @return false when the file cannot be written.
+     */
+    bool writeRecord(const std::string &json) const
+    {
+        if (out.empty())
+            return true;
+        std::FILE *f = std::fopen(out.c_str(), "w");
+        if (f == nullptr) {
+            std::fprintf(stderr, "cannot write %s\n", out.c_str());
+            return false;
+        }
+        std::fputs(json.c_str(), f);
+        std::fputc('\n', f);
+        std::fclose(f);
+        std::printf("wrote %s\n", out.c_str());
+        return true;
     }
 
     /** Print a rendered table per the --csv flag. */

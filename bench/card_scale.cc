@@ -1,7 +1,8 @@
 /**
  * @file
  * Line-card wall-clock baseline: --card-jobs speedup on a chips x
- * jobs grid, written machine-readable to BENCH_card.json.
+ * jobs grid, written machine-readable to --out FILE (the committed
+ * record is BENCH_card.json).
  *
  * Times runCardExperiment (golden + trials, all advancing the chips
  * of one card together) at the shared-DRAM configuration the
@@ -34,7 +35,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,7 +101,7 @@ cpuMs()
 int
 main(int argc, char **argv)
 {
-    const bench::Options opt(argc, argv, 800, 2);
+    const bench::Options opt(argc, argv, 800, 2, true);
     const std::string app =
         opt.positionals.empty() ? "route" : opt.positionals[0];
 
@@ -289,14 +289,8 @@ main(int argc, char **argv)
     w.endArray();
     w.endObject();
 
-    const char *outPath = "BENCH_card.json";
-    std::ofstream out(outPath);
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", outPath);
+    if (!opt.writeRecord(w.str()))
         return 1;
-    }
-    out << w.str() << "\n";
-    std::printf("wrote %s\n", outPath);
 
     bool ok = true;
     for (const Cell &c : cells)

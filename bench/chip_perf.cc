@@ -1,7 +1,8 @@
 /**
  * @file
  * Chip-run wall-clock baseline: --chip-jobs speedup at a fixed
- * operating point, written machine-readable to BENCH_chip.json.
+ * operating point, written machine-readable to --out FILE (the
+ * committed record is BENCH_chip.json).
  *
  * Times runChipExperiment on a pes x chip-jobs grid at the contended
  * configuration the parallelism work targets (mshrs=4, l2=shared,
@@ -19,7 +20,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -60,7 +60,7 @@ wallMsOf(const std::chrono::steady_clock::time_point start)
 int
 main(int argc, char **argv)
 {
-    const bench::Options opt(argc, argv, 1500, 8);
+    const bench::Options opt(argc, argv, 1500, 8, true);
     const std::string app =
         opt.positionals.empty() ? "route" : opt.positionals[0];
 
@@ -156,14 +156,8 @@ main(int argc, char **argv)
     w.endArray();
     w.endObject();
 
-    const char *outPath = "BENCH_chip.json";
-    std::ofstream out(outPath);
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", outPath);
+    if (!opt.writeRecord(w.str()))
         return 1;
-    }
-    out << w.str() << "\n";
-    std::printf("wrote %s\n", outPath);
 
     bool ok = true;
     for (const Cell &c : cells)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Streaming traffic-model scale proof, written machine-readable to
- * BENCH_traffic.json.
+ * --out FILE (the committed record is BENCH_traffic.json).
  *
  * Runs the stateful session workload on a 4-engine chip under the
  * churn traffic model through npu::runChipStream — the O(1)-memory
@@ -26,7 +26,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,7 +84,7 @@ hex64(std::uint64_t v)
 int
 main(int argc, char **argv)
 {
-    const bench::Options opt(argc, argv, 10'000'000, 1);
+    const bench::Options opt(argc, argv, 10'000'000, 1, true);
 
     core::AppFactory factory = [] {
         return std::make_unique<apps::SessionApp>();
@@ -211,14 +210,8 @@ main(int argc, char **argv)
     w.key("faulty_digest_differs").value(faultyDiffers);
     w.endObject();
 
-    const char *outPath = "BENCH_traffic.json";
-    std::ofstream out(outPath);
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", outPath);
+    if (!opt.writeRecord(w.str()))
         return 1;
-    }
-    out << w.str() << "\n";
-    std::printf("wrote %s\n", outPath);
 
     bool ok = rssFlat;
     for (const CountResult &r : results)

@@ -126,8 +126,15 @@ RadixTree::bulkInstall(core::ClumsyProcessor &proc,
                        const std::vector<std::uint32_t> &values)
 {
     CLUMSY_ASSERT(keys.size() == values.size(), "key/value mismatch");
-    CLUMSY_ASSERT(proc.peek32(rootPtr_) == 0,
-                  "bulkInstall needs an empty tree");
+    CLUMSY_ASSERT(nodes_ == 0, "bulkInstall needs an empty tree");
+    // The constructor stored the null root through the engine's own
+    // (clumsy) array, so a faulty run can leave a root that no longer
+    // reads as null. The control plane cannot install over a tree it
+    // does not trust: the engine takes a fatal instead.
+    if (proc.peek32(rootPtr_) != 0) {
+        proc.raiseFatal("radix bulk install found a corrupted root");
+        return;
+    }
     if (keys.empty())
         return;
 

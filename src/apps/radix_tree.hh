@@ -66,7 +66,8 @@ class RadixTree
                 std::uint32_t value);
 
     /**
-     * Bulk-install a key set via DMA (the tree must be empty).
+     * Bulk-install a key set via DMA (the tree must be empty). A
+     * root slot that a write fault left non-null is an engine fatal.
      *
      * Models how network processors actually receive their FIB: the
      * control card computes the table and writes it into the data

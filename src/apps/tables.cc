@@ -51,6 +51,8 @@ RouteTable::RouteTable(core::ClumsyProcessor &proc,
         proc.dmaWrite(base_, blob.data(),
                       static_cast<SimSize>(blob.size()));
         radix_.bulkInstall(proc, keys, values);
+        if (proc.fatalOccurred())
+            return;
     }
 
     // The tail is installed by the data processor's own control-plane

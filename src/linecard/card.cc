@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 
 #include "common/logging.hh"
 #include "common/pool.hh"
@@ -26,57 +27,291 @@ resolveCardJobs(unsigned cardJobs, unsigned chips)
 }
 
 /**
- * Chip @p chip's share of the card-wide packet stream: a fresh replica
- * of the global source pushed through a dispatcher replica, keeping
- * only the packets the card assigns to this chip — global sequence
- * numbers and arrival times intact. The dispatcher's "queue depths"
- * are total assigned counts (the split is feedback-free), so every
- * chip's replica computes the identical assignment independently.
+ * The card split from some point of the global stream on: the
+ * card-wide source and the card dispatcher's state. The dispatcher's
+ * "queue depths" are total assigned counts (the split is
+ * feedback-free), so a copy continues the identical assignment.
  */
-class CardSplitSource final : public traffic::PacketSource
+class SplitCursor
 {
   public:
-    CardSplitSource(const net::TraceConfig &trace,
-                    std::int64_t gapCycles,
-                    npu::DispatchPolicy policy, unsigned chips,
-                    unsigned chip)
-        : inner_(traffic::makeSource(trace, gapCycles)),
+    SplitCursor(const net::TraceConfig &trace, std::int64_t gapCycles,
+                npu::DispatchPolicy policy, unsigned chips)
+        : src_(traffic::makeSource(trace, gapCycles)),
           disp_(policy, chips),
           depths_(chips, 0),
-          alive_(chips, 1),
-          chip_(chip)
+          alive_(chips, 1)
+    {
+    }
+
+    SplitCursor(const SplitCursor &o)
+        : src_(o.src_->clone()), disp_(o.disp_), depths_(o.depths_),
+          alive_(o.alive_)
+    {
+    }
+
+    SplitCursor(SplitCursor &&) = default;
+
+    /** Draw the next packet into @p pkt; @return the chip it goes to. */
+    unsigned draw(net::Packet &pkt)
+    {
+        pkt = src_->next();
+        const int choice = disp_.choose(pkt, depths_, alive_);
+        CLUMSY_ASSERT(choice >= 0,
+                      "card dispatch failed with every chip alive");
+        ++depths_[static_cast<unsigned>(choice)];
+        return static_cast<unsigned>(choice);
+    }
+
+    /** Arrival time of the packet the last draw() produced. */
+    std::int64_t arrival() const { return src_->lastArrivalCycles(); }
+
+  private:
+    std::unique_ptr<traffic::PacketSource> src_;
+    npu::Dispatcher disp_;
+    std::vector<unsigned> depths_;
+    std::vector<char> alive_;
+};
+
+/** A packet of the split with its global arrival time. */
+struct SplitEntry
+{
+    net::Packet pkt;
+    std::int64_t arrival = 0;
+};
+
+/**
+ * One chip's share of the split, replayed privately: the packets
+ * already split off for the chip, then the global stream from a
+ * cursor on, keeping only the chip's packets.
+ */
+class ReplaySource final : public traffic::PacketSource
+{
+  public:
+    ReplaySource(const net::TraceConfig &trace,
+                 std::vector<SplitEntry> queued, SplitCursor cursor,
+                 unsigned chip)
+        : trace_(trace), queued_(std::move(queued)),
+          cursor_(std::move(cursor)), chip_(chip)
     {
     }
 
     net::Packet next() override
     {
-        while (true) {
-            net::Packet pkt = inner_->next();
-            const int choice = disp_.choose(pkt, depths_, alive_);
-            CLUMSY_ASSERT(choice >= 0,
-                          "card dispatch failed with every chip alive");
-            ++depths_[static_cast<unsigned>(choice)];
-            if (static_cast<unsigned>(choice) == chip_) {
-                arrival_ = inner_->lastArrivalCycles();
-                return pkt;
-            }
+        if (head_ < queued_.size()) {
+            SplitEntry &e = queued_[head_++];
+            arrival_ = e.arrival;
+            return std::move(e.pkt);
         }
+        net::Packet pkt;
+        do {
+            ++drawn_;
+        } while (cursor_.draw(pkt) != chip_);
+        arrival_ = cursor_.arrival();
+        return pkt;
+    }
+
+    std::int64_t lastArrivalCycles() const override { return arrival_; }
+
+    const net::TraceConfig &config() const override { return trace_; }
+
+    std::unique_ptr<traffic::PacketSource> clone() const override
+    {
+        return std::make_unique<ReplaySource>(*this);
+    }
+
+    /** Packets this replay drew from its cursor. */
+    std::uint64_t drawn() const { return drawn_; }
+
+  private:
+    net::TraceConfig trace_;
+    std::vector<SplitEntry> queued_;
+    std::size_t head_ = 0;
+    SplitCursor cursor_;
+    unsigned chip_;
+    std::int64_t arrival_ = 0;
+    std::uint64_t drawn_ = 0;
+};
+
+/**
+ * The card-wide split, generated once and shared by every chip (see
+ * the card.hh file comment): one cursor behind a mutex, and per chip a
+ * FIFO of at most kSplitFifoCapacity packets drawn for it while
+ * another chip was looking for its own.
+ */
+class CardSplit
+{
+  public:
+    CardSplit(const net::TraceConfig &trace, std::int64_t gapCycles,
+              npu::DispatchPolicy policy, unsigned chips)
+        : trace_(trace), cursor_(trace, gapCycles, policy, chips),
+          lanes_(chips)
+    {
+        for (Lane &lane : lanes_)
+            lane.fifo.resize(kSplitFifoCapacity);
+    }
+
+    /**
+     * Chip @p chip's next packet into @p pkt / @p arrival, or — when
+     * the chip has been detached — its private replay into
+     * @p replay, which then supplies every later packet.
+     * @return false when the chip was detached.
+     */
+    bool next(unsigned chip, net::Packet &pkt, std::int64_t &arrival,
+              std::unique_ptr<ReplaySource> &replay)
+    {
+        const std::lock_guard<std::mutex> lock(m_);
+        Lane &own = lanes_[chip];
+        if (own.detached) {
+            replay = std::move(own.replay);
+            return false;
+        }
+        if (own.size > 0) {
+            SplitEntry &e = own.fifo[own.head];
+            own.head = (own.head + 1) % kSplitFifoCapacity;
+            --own.size;
+            pkt = std::move(e.pkt);
+            arrival = e.arrival;
+            return true;
+        }
+        while (true) {
+            ++drawn_;
+            const unsigned to = cursor_.draw(pkt);
+            if (to == chip) {
+                arrival = cursor_.arrival();
+                return true;
+            }
+            Lane &lane = lanes_[to];
+            if (lane.detached)
+                continue;
+            if (lane.size == kSplitFifoCapacity) {
+                detach(to, std::move(pkt));
+                continue;
+            }
+            SplitEntry &e =
+                lane.fifo[(lane.head + lane.size) % kSplitFifoCapacity];
+            e.pkt = std::move(pkt);
+            e.arrival = cursor_.arrival();
+            peakFifoDepth_ = std::max(peakFifoDepth_, ++lane.size);
+        }
+    }
+
+    const net::TraceConfig &trace() const { return trace_; }
+
+    /**
+     * A private replay of chip @p chip's share from where the chip
+     * stands: its queued packets, then a copy of the cursor.
+     */
+    std::unique_ptr<ReplaySource> snapshot(unsigned chip)
+    {
+        const std::lock_guard<std::mutex> lock(m_);
+        const Lane &lane = lanes_[chip];
+        if (lane.detached)
+            return std::make_unique<ReplaySource>(*lane.replay);
+        std::vector<SplitEntry> queued;
+        for (std::size_t i = 0; i < lane.size; ++i)
+            queued.push_back(
+                lane.fifo[(lane.head + i) % kSplitFifoCapacity]);
+        return std::make_unique<ReplaySource>(trace_, std::move(queued),
+                                              cursor_, chip);
+    }
+
+    /** Packets the shared cursor drew. Call after every chip is done. */
+    std::uint64_t drawn() const { return drawn_; }
+
+    /** Chips detached so far. Call after every chip is done. */
+    unsigned detached() const { return detached_; }
+
+    /** Deepest any FIFO got. Call after every chip is done. */
+    std::size_t peakFifoDepth() const { return peakFifoDepth_; }
+
+  private:
+    struct Lane
+    {
+        std::vector<SplitEntry> fifo; ///< ring of kSplitFifoCapacity
+        std::size_t head = 0;
+        std::size_t size = 0;
+        bool detached = false;
+        std::unique_ptr<ReplaySource> replay; ///< until the chip takes it
+    };
+
+    /**
+     * Chip @p chip's FIFO is full and @p overflow is its next packet:
+     * hand the chip its queued packets, the overflowing one and a
+     * clone of the cursor, and stop buffering for it.
+     */
+    void detach(unsigned chip, net::Packet overflow)
+    {
+        Lane &lane = lanes_[chip];
+        std::vector<SplitEntry> queued;
+        queued.reserve(lane.size + 1);
+        for (; lane.size > 0; --lane.size) {
+            queued.push_back(std::move(lane.fifo[lane.head]));
+            lane.head = (lane.head + 1) % kSplitFifoCapacity;
+        }
+        queued.push_back({std::move(overflow), cursor_.arrival()});
+        lane.replay = std::make_unique<ReplaySource>(
+            trace_, std::move(queued), cursor_, chip);
+        lane.detached = true;
+        lane.fifo.clear();
+        lane.fifo.shrink_to_fit();
+        ++detached_;
+    }
+
+    const net::TraceConfig trace_;
+    std::mutex m_;
+    SplitCursor cursor_;
+    std::vector<Lane> lanes_;
+    std::uint64_t drawn_ = 0;
+    unsigned detached_ = 0;
+    std::size_t peakFifoDepth_ = 0;
+};
+
+/** Chip @p chip's view of the shared split, as the chip's source. */
+class ChipShare final : public traffic::PacketSource
+{
+  public:
+    ChipShare(CardSplit &split, unsigned chip) : split_(split), chip_(chip)
+    {
+    }
+
+    net::Packet next() override
+    {
+        if (!replay_) {
+            net::Packet pkt;
+            if (split_.next(chip_, pkt, arrival_, replay_))
+                return pkt;
+        }
+        net::Packet pkt = replay_->next();
+        arrival_ = replay_->lastArrivalCycles();
+        return pkt;
     }
 
     std::int64_t lastArrivalCycles() const override { return arrival_; }
 
     const net::TraceConfig &config() const override
     {
-        return inner_->config();
+        return split_.trace();
+    }
+
+    std::unique_ptr<traffic::PacketSource> clone() const override
+    {
+        if (replay_)
+            return replay_->clone();
+        return split_.snapshot(chip_);
+    }
+
+    /** Packets this chip's private replay drew (0 if never detached). */
+    std::uint64_t replayDrawn() const
+    {
+        return replay_ ? replay_->drawn() : 0;
     }
 
   private:
-    std::unique_ptr<traffic::PacketSource> inner_;
-    npu::Dispatcher disp_;
-    std::vector<unsigned> depths_;
-    std::vector<char> alive_;
+    CardSplit &split_;
     unsigned chip_;
     std::int64_t arrival_ = 0;
+    std::unique_ptr<ReplaySource> replay_;
 };
 
 } // namespace
@@ -100,20 +335,11 @@ std::vector<std::uint64_t>
 cardAssignCounts(const net::TraceConfig &trace, std::int64_t gapCycles,
                  const CardConfig &card, std::uint64_t numPackets)
 {
-    const std::unique_ptr<traffic::PacketSource> src =
-        traffic::makeSource(trace, gapCycles);
-    npu::Dispatcher disp(card.dispatch, card.chips);
-    std::vector<unsigned> depths(card.chips, 0);
-    const std::vector<char> alive(card.chips, 1);
+    SplitCursor cursor(trace, gapCycles, card.dispatch, card.chips);
     std::vector<std::uint64_t> counts(card.chips, 0);
-    for (std::uint64_t s = 0; s < numPackets; ++s) {
-        const net::Packet pkt = src->next();
-        const int choice = disp.choose(pkt, depths, alive);
-        CLUMSY_ASSERT(choice >= 0,
-                      "card dispatch failed with every chip alive");
-        ++depths[static_cast<unsigned>(choice)];
-        ++counts[static_cast<unsigned>(choice)];
-    }
+    net::Packet pkt;
+    for (std::uint64_t s = 0; s < numPackets; ++s)
+        ++counts[cursor.draw(pkt)];
     return counts;
 }
 
@@ -138,8 +364,8 @@ runCard(const core::AppFactory &factory,
     npuBase.ingressCapacity = card.ingressCapacity;
     npuBase.validate(base.processor.hierarchy);
 
-    // The trace every chip's split source replays, and each chip's
-    // packet count from the counting pre-pass.
+    // The card-wide trace, and each chip's packet count from the
+    // counting pre-pass.
     const net::TraceConfig trace = [&] {
         const std::unique_ptr<core::PacketApp> app = factory();
         return core::resolveTraceConfig(base, *app);
@@ -164,6 +390,9 @@ runCard(const core::AppFactory &factory,
 
     CardRunResult result;
     result.chips.resize(card.chips);
+    CardSplit split(trace, npuBase.arrivalGapCycles, card.dispatch,
+                    card.chips);
+    std::vector<std::uint64_t> replayDrawn(card.chips, 0);
     const WorkStealingPool pool(dramOn ? card.chips : jobs);
     pool.run(card.chips, [&](std::size_t job) {
         const unsigned c = static_cast<unsigned>(job);
@@ -172,8 +401,7 @@ runCard(const core::AppFactory &factory,
         if (!card.perChipCr.empty())
             cc.cr = card.perChipCr[c];
 
-        CardSplitSource source(trace, npuBase.arrivalGapCycles,
-                               card.dispatch, card.chips, c);
+        ChipShare source(split, c);
         npu::ChipEnv env;
         env.source = &source;
         env.engineSaltBase = c * npuBase.peCount;
@@ -191,7 +419,14 @@ runCard(const core::AppFactory &factory,
             npu::runChipStream(factory, cc, npuBase, golden, trial, env);
         if (dramOn)
             fabric->finish(c);
+        replayDrawn[c] = source.replayDrawn();
     });
+
+    result.split.generated = base.numPackets + split.drawn();
+    for (const std::uint64_t n : replayDrawn)
+        result.split.generated += n;
+    result.split.detached = split.detached();
+    result.split.peakFifoDepth = split.peakFifoDepth();
 
     if (golden) {
         for (unsigned c = 0; c < card.chips; ++c)

@@ -8,14 +8,23 @@
  * card-level policy (rr / flow / shortest) assigns every packet of
  * the card-wide trace to a chip. The split is feedback-free — the
  * "queue depth" the shortest policy sees is each chip's total
- * assigned count, not a live occupancy — so each chip can rebuild its
- * own share of the stream independently: chip c replays the full
- * global source through a dispatcher replica and keeps only the
- * packets assigned to c, global sequence numbers and arrival times
- * intact. Control-plane churn streams carry no packet-count state,
- * so every chip replays the identical global update stream (the
- * control plane is a broadcast), drained against the global
- * sequence numbers it actually processes.
+ * assigned count, not a live occupancy — so the assignment is a pure
+ * function of the trace. runCard generates it once: one shared
+ * source and card dispatcher sit behind a mutex, and a chip that
+ * needs a packet advances them until one of its own appears, parking
+ * every other chip's packet (global sequence number and arrival time
+ * intact) in that chip's FIFO. The producer never waits for a
+ * consumer, so the commit fabric's protocol is untouched. Each FIFO
+ * holds at most kSplitFifoCapacity packets: a chip whose FIFO would
+ * overflow is detached — it gets a clone of the shared source and
+ * dispatcher state taken just after the overflowing packet and
+ * replays the global stream privately from there, keeping only its
+ * own packets. Memory stays O(chips x capacity + one source per
+ * detached chip) however the chips' progress skews (serial chips on
+ * the pool, a lopsided flow split). Control-plane churn streams
+ * carry no packet-count state, so every chip replays the identical
+ * global update stream (the control plane is a broadcast), drained
+ * against the global sequence numbers it actually processes.
  *
  * Chip variation. Chip c's engines get global ids starting at
  * c * peCount (decorrelated fault seeds and fault maps), its DRAM
@@ -37,6 +46,7 @@
 #ifndef CLUMSY_LINECARD_CARD_HH
 #define CLUMSY_LINECARD_CARD_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -110,6 +120,29 @@ struct CardMetrics
     std::vector<double> chipMakespanCycles; ///< makespan per chip
 };
 
+/**
+ * Packets one chip's split FIFO holds; the next packet for a chip
+ * whose FIFO is full detaches that chip (see the file comment).
+ */
+constexpr std::size_t kSplitFifoCapacity = 64;
+
+/**
+ * How one run's packet split went: host-side counters that no output
+ * prints (they do not depend on the modelled run alone — which chips
+ * detach follows the order the chip threads ask for packets in).
+ */
+struct CardSplitStats
+{
+    /** Packets drawn from any source: pre-pass, shared pass, replays. */
+    std::uint64_t generated = 0;
+
+    /** Chips that left the shared split for a private replay. */
+    unsigned detached = 0;
+
+    /** Most packets any chip's split FIFO held at once. */
+    std::size_t peakFifoDepth = 0;
+};
+
 /** Everything one card run (golden or one faulty trial) produced. */
 struct CardRunResult
 {
@@ -117,6 +150,8 @@ struct CardRunResult
     std::vector<npu::ChipStreamResult> chips;
 
     CardMetrics card;
+
+    CardSplitStats split;
 
     /** FNV-1a fold of the chips' value digests, chip order. */
     std::uint64_t valueDigest = 0;

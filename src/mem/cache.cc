@@ -36,7 +36,8 @@ Cache::Cache(std::string name, CacheGeometry geom, CheckCodec codec)
 }
 
 Cache::Evicted
-Cache::fill(SimAddr addr, const std::uint8_t *data)
+Cache::fill(SimAddr addr, const std::uint8_t *data,
+            std::uint8_t *victimData)
 {
     CLUMSY_ASSERT(findLine(addr) < 0, "fill of an already-present line");
     const std::size_t first = std::size_t{setIndex(addr)} * geom_.assoc;
@@ -70,8 +71,8 @@ Cache::fill(SimAddr addr, const std::uint8_t *data)
         evicted.base = (tags_[victim] << setShift_);
         if (dirty_[victim]) {
             ++*writebacks_;
-            evicted.data.assign(dataOf(victim),
-                                dataOf(victim) + geom_.lineBytes);
+            if (victimData != nullptr)
+                std::memcpy(victimData, dataOf(victim), geom_.lineBytes);
         }
     }
 

@@ -58,7 +58,6 @@ class Cache
         bool valid = false;
         bool dirty = false;
         SimAddr base = 0;
-        std::vector<std::uint8_t> data;
     };
 
     Cache(std::string name, CacheGeometry geom,
@@ -101,9 +100,12 @@ class Cache
     /**
      * Install the line containing addr with the given lineBytes() of
      * data (parity regenerated from it). The line must not already be
-     * present. @return the evicted victim, if any.
+     * present. A dirty victim's lineBytes() bytes are copied to
+     * @p victimData, a caller-owned line buffer (null: not wanted).
+     * @return the evicted victim, if any.
      */
-    Evicted fill(SimAddr addr, const std::uint8_t *data);
+    Evicted fill(SimAddr addr, const std::uint8_t *data,
+                 std::uint8_t *victimData = nullptr);
 
     /** Drop the line containing addr without writeback (no-op when
      *  absent). */

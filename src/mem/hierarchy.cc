@@ -36,6 +36,7 @@ MemHierarchy::MemHierarchy(const HierarchyConfig &config,
     l2LineScratch_.resize(config_.l2.lineBytes);
     l1LineScratch_.resize(
         std::max(config_.l1d.lineBytes, config_.l1i.lineBytes));
+    l1VictimScratch_.resize(config_.l1d.lineBytes);
     if (config_.wayDisable.enabled())
         frameStrikes_.assign(
             std::size_t{config_.l1d.sets()} * config_.l1d.assoc, 0);
@@ -108,8 +109,8 @@ MemHierarchy::writebackToL2(B &l2b, const Cache::Evicted &evicted,
     // port-arbiter line events.
     Access wb;
     ensureL2(l2b, evicted.base, wb);
-    l2b.writeRange(evicted.base, evicted.data.data(),
-                   static_cast<SimSize>(evicted.data.size()), true);
+    l2b.writeRange(evicted.base, l1VictimScratch_.data(),
+                   config_.l1d.lineBytes, true);
     ++*l1dWritebacks_;
     (void)acc;
 }
@@ -147,7 +148,8 @@ MemHierarchy::fillL1D(B &l2b, SimAddr addr, Access &acc)
         const std::uint32_t w = l2b.readWordRaw(base + off);
         std::memcpy(&l1LineScratch_[off], &w, 4);
     }
-    const Cache::Evicted victim = l1d_.fill(base, l1LineScratch_.data());
+    const Cache::Evicted victim =
+        l1d_.fill(base, l1LineScratch_.data(), l1VictimScratch_.data());
     const std::size_t line = l1d_.lineIndexOf(base);
     if (energy_)
         energy_->addL1dWrite(cr_, protection());

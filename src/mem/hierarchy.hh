@@ -254,9 +254,12 @@ class MemHierarchy
      * and each path finishes consuming its buffer before any call
      * that could overwrite it, so one buffer per level suffices and
      * the per-miss heap allocation disappears from the hot loop.
+     * l1VictimScratch_ carries a dirty L1D victim from the fill to
+     * its writeback into the L2 (writebackToL2).
      */
     std::vector<std::uint8_t> l2LineScratch_;
     std::vector<std::uint8_t> l1LineScratch_;
+    std::vector<std::uint8_t> l1VictimScratch_;
 
     /**
      * Per-frame strike-out counts for way-disable recovery, indexed
@@ -361,7 +364,8 @@ class MemHierarchy
     template <typename B>
     std::size_t fillL1D(B &l2b, SimAddr addr, Access &acc);
 
-    /** Write back an evicted dirty L1 line into the L2. */
+    /** Write back an evicted dirty L1 line (its bytes in
+     *  l1VictimScratch_) into the L2. */
     template <typename B>
     void writebackToL2(B &l2b, const Cache::Evicted &evicted,
                        Access &acc);

@@ -34,6 +34,7 @@
 #define CLUMSY_MEM_L2_BACKEND_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -110,17 +111,17 @@ class PrivateL2Backend final : public L2Backend
         store_ = store;
         energy_ = energy;
         stats_ = stats;
+        victim_.resize(l2->lineBytes());
     }
 
     bool lookup(SimAddr addr) override { return l2_->lookup(addr); }
 
     void fill(SimAddr base, const std::uint8_t *data) override
     {
-        const Cache::Evicted victim = l2_->fill(base, data);
+        const Cache::Evicted victim = l2_->fill(base, data, victim_.data());
         if (!victim.valid || !victim.dirty)
             return;
-        store_->writeBlock(victim.base, victim.data.data(),
-                           static_cast<SimSize>(victim.data.size()));
+        store_->writeBlock(victim.base, victim_.data(), l2_->lineBytes());
         if (energy_)
             energy_->addMemAccess();
         stats_->inc("l2_writebacks_to_mem");
@@ -136,9 +137,8 @@ class PrivateL2Backend final : public L2Backend
         if (!l2_->contains(addr))
             return;
         if (l2_->isDirty(addr)) {
-            std::vector<std::uint8_t> buf(l2_->lineBytes());
-            l2_->readLine(addr, buf.data());
-            store_->writeBlock(l2_->lineBase(addr), buf.data(),
+            l2_->readLine(addr, victim_.data());
+            store_->writeBlock(l2_->lineBase(addr), victim_.data(),
                                l2_->lineBytes());
         }
         l2_->invalidate(addr);
@@ -164,6 +164,7 @@ class PrivateL2Backend final : public L2Backend
     BackingStore *store_ = nullptr;
     energy::EnergyAccount *energy_ = nullptr;
     StatGroup *stats_ = nullptr;
+    std::vector<std::uint8_t> victim_; ///< dirty victim / flush line
 };
 
 } // namespace clumsy::mem

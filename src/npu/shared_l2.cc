@@ -122,7 +122,8 @@ SharedL2Cache::SharedL2Cache(const mem::CacheGeometry &geom,
       energies_(peCount, nullptr),
       views_(peCount),
       engineStats_(peCount),
-      diverged_(memBytes / geom.lineBytes, 0)
+      diverged_(memBytes / geom.lineBytes, 0),
+      victimScratch_(geom.lineBytes)
 {
     CLUMSY_ASSERT(peCount >= 1, "shared L2 needs at least one engine");
     CLUMSY_ASSERT(memBytes % geom.lineBytes == 0,
@@ -324,9 +325,8 @@ SharedL2Cache::handleVictim(unsigned pe,
     CLUMSY_ASSERT(owner < peCount_, "victim key decodes to no engine");
     if (victim.dirty) {
         const SimAddr dramBase = victim.base - stride_ * (q);
-        stores_[owner]->writeBlock(
-            dramBase, victim.data.data(),
-            static_cast<SimSize>(victim.data.size()));
+        stores_[owner]->writeBlock(dramBase, victimScratch_.data(),
+                                   lineBytes_);
         if (energies_[owner])
             energies_[owner]->addMemAccess();
         stats_.inc("writebacks_to_mem");
@@ -339,7 +339,7 @@ void
 SharedL2Cache::fill(unsigned pe, SimAddr base, const std::uint8_t *data)
 {
     const mem::Cache::Evicted victim =
-        cache_.fill(keyFor(pe, base), data);
+        cache_.fill(keyFor(pe, base), data, victimScratch_.data());
     handleVictim(pe, victim);
     if (!diverged(base))
         fillOwner_[base] = pe;

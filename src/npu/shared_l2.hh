@@ -357,6 +357,7 @@ class SharedL2Cache
     std::vector<View> views_;
     std::vector<EngineStats> engineStats_;
     std::vector<char> diverged_; ///< per-DRAM-line, monotone
+    std::vector<std::uint8_t> victimScratch_; ///< dirty victim's bytes
     /** Shared-frame line base -> engine whose refill installed it. */
     std::unordered_map<SimAddr, unsigned> fillOwner_;
     StatGroup stats_{"shared_l2"};
@@ -382,7 +383,8 @@ class SharedL2Cache
                    : addr;
     }
 
-    /** Handle a victim evicted by engine pe's fill. */
+    /** Handle a victim evicted by engine pe's fill (a dirty one's
+     *  bytes in victimScratch_). */
     void handleVictim(unsigned pe, const mem::Cache::Evicted &victim);
 
     /** Convert a present shared frame to pe's colored line in place. */

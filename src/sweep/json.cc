@@ -106,7 +106,9 @@ JsonWriter &
 JsonWriter::key(const std::string &name)
 {
     separate();
-    out_ += "\"" + jsonEscape(name) + "\": ";
+    out_ += '"';
+    out_ += jsonEscape(name);
+    out_ += "\": ";
     afterKey_ = true;
     needComma_ = true;
     return *this;
@@ -115,7 +117,10 @@ JsonWriter::key(const std::string &name)
 JsonWriter &
 JsonWriter::value(const std::string &v)
 {
-    return raw("\"" + jsonEscape(v) + "\"");
+    std::string quoted = "\"";
+    quoted += jsonEscape(v);
+    quoted += '"';
+    return raw(quoted);
 }
 
 JsonWriter &

@@ -691,7 +691,9 @@ csvKnobHeader()
 {
     std::string out;
     forEachColumn([&out](const Knob &k) {
-        out += (out.empty() ? "" : ",") + std::string(k.name);
+        if (!out.empty())
+            out += ',';
+        out += k.name;
     });
     return out;
 }
@@ -702,7 +704,9 @@ csvKnobFields(const SweepCell &cell)
     std::string out;
     bool first = true;
     forEachColumn([&](const Knob &k) {
-        out += (first ? "" : ",") + render(k.value(defaultSpec(), cell), true);
+        if (!first)
+            out += ',';
+        out += render(k.value(defaultSpec(), cell), true);
         first = false;
     });
     return out;
@@ -751,9 +755,15 @@ SweepSpec::toGridString() const
             SweepCell cell;
             if (k.pick)
                 k.pick(*this, i, cell);
-            values += (i ? "," : "") + k.text(*this, cell);
+            if (i)
+                values += ',';
+            values += k.text(*this, cell);
         }
-        out += (out.empty() ? "" : ";") + std::string(k.grid) + "=" + values;
+        if (!out.empty())
+            out += ';';
+        out += k.grid;
+        out += '=';
+        out += values;
     }
     return out;
 }
@@ -813,9 +823,13 @@ SweepCell::key() const
 {
     std::string k;
     for (const Knob &row : knobTable()) {
-        if (shows(row.inKey, row, defaultSpec(), *this))
-            k += (k.empty() ? "" : ";") + std::string(row.grid) + "=" +
-                 row.text(defaultSpec(), *this);
+        if (!shows(row.inKey, row, defaultSpec(), *this))
+            continue;
+        if (!k.empty())
+            k += ';';
+        k += row.grid;
+        k += '=';
+        k += row.text(defaultSpec(), *this);
     }
     return k;
 }

@@ -358,22 +358,26 @@ renderCsv(const SweepOutcome &outcome)
         "energy_per_packet_pj,l1d_energy_per_packet_pj,edf,"
         "golden_cycles_per_packet,golden_energy_per_packet_pj,"
         "golden_dcache_miss_rate,wall_ms\n";
+    auto field = [&out](double v) {
+        out += ',';
+        out += formatDouble(v);
+    };
     for (const CellOutcome &c : outcome.cells) {
         const core::ExperimentResult &r = c.result;
         out += csvKnobFields(c.cell);
-        out += "," + formatDouble(r.fallibility);
-        out += "," + formatDouble(r.anyErrorProb);
-        out += "," + formatDouble(r.fatalProb);
-        out += "," + formatDouble(r.fatalFraction);
-        out += "," + formatDouble(r.cyclesPerPacket);
-        out += "," + formatDouble(r.energyPerPacketPj);
-        out += "," + formatDouble(r.l1dEnergyPerPacketPj);
-        out += "," + formatDouble(r.edf);
-        out += "," + formatDouble(r.golden.cyclesPerPacket);
-        out += "," + formatDouble(r.golden.energyPerPacketPj);
-        out += "," + formatDouble(r.golden.dcacheMissRate);
-        out += "," + formatDouble(c.wallMs);
-        out += "\n";
+        field(r.fallibility);
+        field(r.anyErrorProb);
+        field(r.fatalProb);
+        field(r.fatalFraction);
+        field(r.cyclesPerPacket);
+        field(r.energyPerPacketPj);
+        field(r.l1dEnergyPerPacketPj);
+        field(r.edf);
+        field(r.golden.cyclesPerPacket);
+        field(r.golden.energyPerPacketPj);
+        field(r.golden.dcacheMissRate);
+        field(c.wallMs);
+        out += '\n';
     }
     return out;
 }

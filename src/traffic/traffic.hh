@@ -56,6 +56,13 @@ class PacketSource
 
     /** The trace configuration in force. */
     virtual const net::TraceConfig &config() const = 0;
+
+    /**
+     * An independent copy that continues this stream from where it
+     * stands: the copy's packets and arrival times are the ones this
+     * source would produce next. O(size of the source's state).
+     */
+    virtual std::unique_ptr<PacketSource> clone() const = 0;
 };
 
 /** The static-flow generator behind the PacketSource contract. */
@@ -80,6 +87,11 @@ class StaticSource final : public PacketSource
     const net::TraceConfig &config() const override
     {
         return gen_.config();
+    }
+
+    std::unique_ptr<PacketSource> clone() const override
+    {
+        return std::make_unique<StaticSource>(*this);
     }
 
   private:
@@ -164,6 +176,11 @@ class ChurnSource final : public PacketSource
     const net::TraceConfig &config() const override
     {
         return gen_.config();
+    }
+
+    std::unique_ptr<PacketSource> clone() const override
+    {
+        return std::make_unique<ChurnSource>(*this);
     }
 
     const FlowTable &flows() const { return flows_; }

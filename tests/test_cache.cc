@@ -94,13 +94,14 @@ TEST(Cache, DirtyWritebackCarriesData)
                        cache.computeCheck(0xdeadbeef));
     cache.setDirty(0x40);
     EXPECT_TRUE(cache.isDirty(0x40));
-    const auto evicted = cache.fill(0x1040, l.data());
+    std::vector<std::uint8_t> victim(32, 0);
+    const auto evicted = cache.fill(0x1040, l.data(), victim.data());
     ASSERT_TRUE(evicted.valid);
     ASSERT_TRUE(evicted.dirty);
-    ASSERT_EQ(evicted.data.size(), 32u);
     std::uint32_t word;
-    std::memcpy(&word, evicted.data.data(), 4);
+    std::memcpy(&word, victim.data(), 4);
     EXPECT_EQ(word, 0xdeadbeefu);
+    EXPECT_EQ(std::memcmp(victim.data() + 4, l.data() + 4, 28), 0);
     EXPECT_EQ(cache.stats().get("writebacks"), 1u);
 }
 
@@ -223,6 +224,7 @@ class RefCache
         bool valid = false;
         bool dirty = false;
         std::uint64_t base = 0;
+        std::vector<std::uint8_t> data; ///< a dirty victim's bytes
     };
 
     RefCache(unsigned sets, unsigned assoc, unsigned lineBytes)
@@ -273,6 +275,8 @@ class RefCache
             ev.valid = true;
             ev.dirty = victim->dirty;
             ev.base = victim->tag * lineBytes_;
+            if (victim->dirty)
+                ev.data = victim->data;
         }
         victim->valid = true;
         victim->dirty = false;
@@ -324,7 +328,8 @@ TEST(Cache, SoaMatchesNaiveModelUnderRandomOps)
                 std::uint8_t data[32];
                 for (unsigned i = 0; i < 32; ++i)
                     data[i] = static_cast<std::uint8_t>(rng());
-                const Cache::Evicted ev = cache.fill(base, data);
+                std::uint8_t victim[32];
+                const Cache::Evicted ev = cache.fill(base, data, victim);
                 const RefCache::Evicted rev = ref.fill(base, data);
                 ++fills;
                 ASSERT_EQ(ev.valid, rev.valid) << "op " << op;
@@ -332,8 +337,12 @@ TEST(Cache, SoaMatchesNaiveModelUnderRandomOps)
                     ++evictions;
                     ASSERT_EQ(ev.dirty, rev.dirty) << "op " << op;
                     ASSERT_EQ(ev.base, rev.base) << "op " << op;
-                    if (ev.dirty)
+                    if (ev.dirty) {
                         ++writebacks;
+                        ASSERT_EQ(std::memcmp(victim, rev.data.data(), 32),
+                                  0)
+                            << "op " << op;
+                    }
                 }
             }
             break;

@@ -164,3 +164,31 @@ TEST(Experiment, FaultPlaneNames)
     EXPECT_EQ(to_string(FaultPlane::DataOnly), "data plane");
     EXPECT_EQ(to_string(FaultPlane::Both), "both planes");
 }
+
+/**
+ * A write fault on the route table's null root (stored through the
+ * engine's own array at bring-up) is an engine fatal that ends the
+ * trial, not a process abort: the faulty trial finishes and reports
+ * it.
+ */
+TEST(Experiment, CorruptedRouteRootIsAFatalTrial)
+{
+    ExperimentConfig cfg;
+    cfg.numPackets = 500;
+    cfg.cr = 0.25;
+    cfg.scheme = mem::RecoveryScheme::TwoStrike;
+    cfg.faultScale = 1000.0;
+    const AppFactory factory = apps::appFactory("route");
+    const GoldenRecord golden = runGolden(factory, cfg);
+    unsigned rootFatals = 0;
+    for (unsigned t = 0; t < 8; ++t) {
+        const RunMetrics m = runFaultyTrial(factory, cfg, t, golden);
+        if (m.fatalReason.find("corrupted root") == std::string::npos)
+            continue;
+        ++rootFatals;
+        EXPECT_TRUE(m.fatal);
+        EXPECT_EQ(m.packetsProcessed, 0u);
+        EXPECT_EQ(m.packetsAttempted, cfg.numPackets);
+    }
+    EXPECT_GT(rootFatals, 0u) << "no trial corrupted the root";
+}

@@ -4,13 +4,16 @@
  * byte-identity across workloads (including a mapped-fault +
  * control-churn cell), the fabric's token grants on idle and dying
  * chips, the one-chip anchor against the streaming chip
- * harness, dispatcher split invariants, metric merges, shared-DRAM
- * stat coherence and config validation.
+ * harness, dispatcher split invariants, the single-pass split's
+ * source clones, FIFO cap and detach path, metric merges,
+ * shared-DRAM stat coherence, config validation and a faulty route
+ * card whose bring-up dies.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "npu/config.hh"
 #include "sweep/sink.hh"
 #include "sweep/spec.hh"
+#include "traffic/traffic.hh"
 
 using namespace clumsy;
 using namespace clumsy::linecard;
@@ -291,6 +295,170 @@ TEST(LineCard, AssignCountsPartitionTheTrace)
             EXPECT_LE(hi - lo, 1u);
         }
     }
+}
+
+// --- the single-pass split ---------------------------------------------
+
+/**
+ * A clone taken mid-stream continues it exactly: the same packets,
+ * byte for byte, at the same arrival times — for the static and the
+ * churn model alike. A detached chip's private replay rests on this.
+ */
+TEST(LineCard, SourceCloneContinuesTheIdenticalStream)
+{
+    net::TraceConfig churn = apps::makeApp("route")->traceConfig();
+    churn.churn.enabled = true;
+    churn.churn.meanLifetimePackets = 16.0;
+    for (const net::TraceConfig &trace :
+         {apps::makeApp("route")->traceConfig(), churn}) {
+        const std::unique_ptr<traffic::PacketSource> src =
+            traffic::makeSource(trace, 40);
+        for (int i = 0; i < 300; ++i)
+            src->next();
+        const std::unique_ptr<traffic::PacketSource> copy = src->clone();
+        EXPECT_EQ(copy->lastArrivalCycles(), src->lastArrivalCycles());
+        for (int i = 0; i < 700; ++i) {
+            const net::Packet a = src->next();
+            const net::Packet b = copy->next();
+            ASSERT_EQ(a.seq, b.seq);
+            ASSERT_EQ(a.ip.toBytes(), b.ip.toBytes()) << "seq " << a.seq;
+            ASSERT_EQ(a.srcPort, b.srcPort);
+            ASSERT_EQ(a.dstPort, b.dstPort);
+            ASSERT_EQ(a.payload, b.payload) << "seq " << a.seq;
+            ASSERT_EQ(src->lastArrivalCycles(), copy->lastArrivalCycles());
+        }
+    }
+}
+
+/**
+ * Chips whose FIFO fills detach onto a private replay, and the result
+ * is still byte-identical at every card-jobs value. Two ways to fill a
+ * FIFO: with the DRAM model off the chips run one after another on
+ * the pool (at card-jobs 1, chip 0 pulls the whole trace before chip
+ * 1 starts), and a lopsided flow split leaves a busy chip behind
+ * while the light chips advance the shared stream for their rare
+ * packets.
+ */
+TEST(LineCard, DetachedChipsAreByteIdenticalAcrossCardJobs)
+{
+    npu::NpuConfig npuCfg;
+    npuCfg.peCount = 2;
+
+    struct Case
+    {
+        std::string name;
+        std::string app;
+        std::uint64_t packets;
+        CardConfig card;
+    };
+    std::vector<Case> cases;
+    {
+        Case c{"dram off", "route", (8 + 1) * kSplitFifoCapacity + 24, {}};
+        c.card.chips = 8;
+        c.card.dram.banks = 0;
+        cases.push_back(c);
+    }
+    {
+        // nat's flows split 81..537 packets per chip over 2000.
+        Case c{"flow split", "nat", 2000, {}};
+        c.card.chips = 8;
+        c.card.dispatch = npu::DispatchPolicy::FlowHash;
+        c.card.dram.banks = 8;
+        cases.push_back(c);
+    }
+
+    for (Case &c : cases) {
+        core::ExperimentConfig cfg = smallConfig();
+        cfg.numPackets = c.packets;
+        c.card.cardJobs = 1;
+        const CardRunResult serial = runCard(apps::appFactory(c.app), cfg,
+                                             npuCfg, c.card, false, 0);
+        EXPECT_GT(serial.split.detached, 0u) << c.name;
+        EXPECT_EQ(serial.split.peakFifoDepth, kSplitFifoCapacity)
+            << c.name;
+        const std::string ref = reprOf(serial);
+        for (const unsigned jobs : {2u, 3u, 8u}) {
+            c.card.cardJobs = jobs;
+            const CardRunResult run = runCard(apps::appFactory(c.app), cfg,
+                                              npuCfg, c.card, false, 0);
+            EXPECT_EQ(reprOf(run), ref)
+                << c.name << ", card-jobs " << jobs;
+            EXPECT_LE(run.split.peakFifoDepth, kSplitFifoCapacity)
+                << c.name << ", card-jobs " << jobs;
+        }
+    }
+}
+
+/**
+ * The benchmark's 8-chip card (route, rr across chips, 8 DRAM banks,
+ * card-jobs 1): the chips keep pace with each other, so no FIFO fills,
+ * no chip detaches, and a run draws each packet twice — once in the
+ * counting pre-pass and once in the shared pass — where a replay per
+ * chip drew it nine times.
+ */
+TEST(LineCard, BenchmarkCardSplitsInOnePass)
+{
+    core::ExperimentConfig cfg;
+    cfg.numPackets = 2000;
+    cfg.cr = 0.5;
+    cfg.scheme = mem::RecoveryScheme::TwoStrike;
+    npu::NpuConfig npuCfg;
+    npuCfg.peCount = 2;
+    npuCfg.dispatch = npu::DispatchPolicy::FlowHash;
+    npuCfg.l2 = npu::L2Mode::Shared;
+    npuCfg.mshrs = 2;
+    CardConfig card;
+    card.chips = 8;
+    card.dram.banks = 8;
+
+    for (const bool golden : {true, false}) {
+        const CardRunResult run = runCard(apps::appFactory("route"), cfg,
+                                          npuCfg, card, golden, 0);
+        EXPECT_EQ(run.split.detached, 0u);
+        EXPECT_LE(run.split.peakFifoDepth, kSplitFifoCapacity);
+        EXPECT_LE(run.split.generated, 2 * cfg.numPackets);
+        if (golden) {
+            EXPECT_EQ(run.card.packetsProcessed,
+                      static_cast<double>(cfg.numPackets));
+        }
+    }
+}
+
+/**
+ * A faulty route card whose chips die at bring-up (a write fault on a
+ * route table's null root) finishes and reports the fatal, at every
+ * card-jobs value, instead of aborting the process.
+ */
+TEST(LineCard, CorruptedRouteRootIsAChipFatal)
+{
+    core::ExperimentConfig cfg = smallConfig();
+    cfg.cr = 0.25;
+    cfg.faultScale = 1000.0;
+    cfg.trials = 4;
+    const npu::NpuConfig npuCfg;
+    CardConfig card;
+    card.chips = 8;
+    card.dispatch = npu::DispatchPolicy::ShortestQueue;
+    card.dram.banks = 8;
+
+    card.cardJobs = 1;
+    const CardExperimentResult serial =
+        runCardExperiment(apps::appFactory("route"), cfg, npuCfg, card);
+    EXPECT_GT(serial.fatalFraction, 0.0);
+    unsigned rootFatals = 0;
+    for (unsigned t = 0; t < cfg.trials; ++t) {
+        const CardRunResult run = runCard(apps::appFactory("route"), cfg,
+                                          npuCfg, card, false, t);
+        for (const npu::ChipStreamResult &chip : run.chips)
+            rootFatals += chip.merged.fatalReason.find("corrupted root") !=
+                          std::string::npos;
+    }
+    EXPECT_GT(rootFatals, 0u) << "no chip's route root was corrupted";
+
+    card.cardJobs = 3;
+    EXPECT_EQ(reprOf(runCardExperiment(apps::appFactory("route"), cfg,
+                                       npuCfg, card)),
+              reprOf(serial));
 }
 
 // --- metric merging ---------------------------------------------------

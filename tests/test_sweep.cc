@@ -726,3 +726,22 @@ TEST(SweepResume, FaultMapCellsResumeByteIdentical)
     EXPECT_NE(csv.find(",spatial,2,"), std::string::npos);
     EXPECT_NE(csv.find(",off,2,"), std::string::npos);
 }
+
+/**
+ * A grid holding route cells whose faulty trials die at bring-up (a
+ * write fault on the route table's null root) runs to the end: the
+ * cells report the fatal trials, at the core and the card tier, and
+ * the output does not depend on the worker count.
+ */
+TEST(SweepRunner, RouteBringUpFatalsFinishTheGrid)
+{
+    const SweepSpec spec = SweepSpec::parse(
+        "app=route;cr=0.25;scheme=two-strike;fault-scale=1000;"
+        "packets=200;trials=3;chips=1,4;dram-banks=0,8");
+    const SweepOutcome serial = runSweep(spec, 1);
+    ASSERT_EQ(serial.cells.size(), 4u);
+    for (const CellOutcome &cell : serial.cells)
+        EXPECT_GT(cell.result.fatalFraction, 0.0) << cell.cell.key();
+    EXPECT_EQ(renderJson(runSweep(spec, 4), false),
+              renderJson(serial, false));
+}

@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/fiber.hh"
 #include "common/logging.hh"
 #include "common/pool.hh"
 #include "linecard/fabric.hh"
@@ -16,7 +17,7 @@ namespace clumsy::linecard
 namespace
 {
 
-/** CardConfig::cardJobs resolved and clamped to one thread per chip. */
+/** CardConfig::cardJobs resolved and clamped to one worker per chip. */
 unsigned
 resolveCardJobs(unsigned cardJobs, unsigned chips)
 {
@@ -27,10 +28,47 @@ resolveCardJobs(unsigned cardJobs, unsigned chips)
 }
 
 /**
+ * Does the card policy read the packet it places? Only flow does; rr
+ * and shortest place by count alone.
+ */
+bool
+dispatchReadsPackets(npu::DispatchPolicy policy)
+{
+    return policy == npu::DispatchPolicy::FlowHash;
+}
+
+/**
+ * The card dispatcher and its state. Its "queue depths" are total
+ * assigned counts (the split is feedback-free), so a copy continues
+ * the identical assignment.
+ */
+class CardDispatch
+{
+  public:
+    CardDispatch(npu::DispatchPolicy policy, unsigned chips)
+        : disp_(policy, chips), depths_(chips, 0), alive_(chips, 1)
+    {
+    }
+
+    /** @return the chip the next packet, @p pkt, goes to. */
+    unsigned assign(const net::Packet &pkt)
+    {
+        const int choice = disp_.choose(pkt, depths_, alive_);
+        CLUMSY_ASSERT(choice >= 0,
+                      "card dispatch failed with every chip alive");
+        ++depths_[static_cast<unsigned>(choice)];
+        return static_cast<unsigned>(choice);
+    }
+
+  private:
+    npu::Dispatcher disp_;
+    std::vector<unsigned> depths_;
+    std::vector<char> alive_;
+};
+
+/**
  * The card split from some point of the global stream on: the
- * card-wide source and the card dispatcher's state. The dispatcher's
- * "queue depths" are total assigned counts (the split is
- * feedback-free), so a copy continues the identical assignment.
+ * card-wide source and the card dispatcher's state.
  */
 class SplitCursor
 {
@@ -38,15 +76,12 @@ class SplitCursor
     SplitCursor(const net::TraceConfig &trace, std::int64_t gapCycles,
                 npu::DispatchPolicy policy, unsigned chips)
         : src_(traffic::makeSource(trace, gapCycles)),
-          disp_(policy, chips),
-          depths_(chips, 0),
-          alive_(chips, 1)
+          dispatch_(policy, chips)
     {
     }
 
     SplitCursor(const SplitCursor &o)
-        : src_(o.src_->clone()), disp_(o.disp_), depths_(o.depths_),
-          alive_(o.alive_)
+        : src_(o.src_->clone()), dispatch_(o.dispatch_)
     {
     }
 
@@ -56,11 +91,7 @@ class SplitCursor
     unsigned draw(net::Packet &pkt)
     {
         pkt = src_->next();
-        const int choice = disp_.choose(pkt, depths_, alive_);
-        CLUMSY_ASSERT(choice >= 0,
-                      "card dispatch failed with every chip alive");
-        ++depths_[static_cast<unsigned>(choice)];
-        return static_cast<unsigned>(choice);
+        return dispatch_.assign(pkt);
     }
 
     /** Arrival time of the packet the last draw() produced. */
@@ -68,9 +99,7 @@ class SplitCursor
 
   private:
     std::unique_ptr<traffic::PacketSource> src_;
-    npu::Dispatcher disp_;
-    std::vector<unsigned> depths_;
-    std::vector<char> alive_;
+    CardDispatch dispatch_;
 };
 
 /** A packet of the split with its global arrival time. */
@@ -85,18 +114,17 @@ struct SplitEntry
  * already split off for the chip, then the global stream from a
  * cursor on, keeping only the chip's packets.
  */
-class ReplaySource final : public traffic::PacketSource
+class ReplaySource
 {
   public:
-    ReplaySource(const net::TraceConfig &trace,
-                 std::vector<SplitEntry> queued, SplitCursor cursor,
+    ReplaySource(std::vector<SplitEntry> queued, SplitCursor cursor,
                  unsigned chip)
-        : trace_(trace), queued_(std::move(queued)),
-          cursor_(std::move(cursor)), chip_(chip)
+        : queued_(std::move(queued)), cursor_(std::move(cursor)),
+          chip_(chip)
     {
     }
 
-    net::Packet next() override
+    net::Packet next()
     {
         if (head_ < queued_.size()) {
             SplitEntry &e = queued_[head_++];
@@ -111,20 +139,13 @@ class ReplaySource final : public traffic::PacketSource
         return pkt;
     }
 
-    std::int64_t lastArrivalCycles() const override { return arrival_; }
-
-    const net::TraceConfig &config() const override { return trace_; }
-
-    std::unique_ptr<traffic::PacketSource> clone() const override
-    {
-        return std::make_unique<ReplaySource>(*this);
-    }
+    /** Arrival time of the packet the last next() returned. */
+    std::int64_t lastArrivalCycles() const { return arrival_; }
 
     /** Packets this replay drew from its cursor. */
     std::uint64_t drawn() const { return drawn_; }
 
   private:
-    net::TraceConfig trace_;
     std::vector<SplitEntry> queued_;
     std::size_t head_ = 0;
     SplitCursor cursor_;
@@ -198,24 +219,6 @@ class CardSplit
 
     const net::TraceConfig &trace() const { return trace_; }
 
-    /**
-     * A private replay of chip @p chip's share from where the chip
-     * stands: its queued packets, then a copy of the cursor.
-     */
-    std::unique_ptr<ReplaySource> snapshot(unsigned chip)
-    {
-        const std::lock_guard<std::mutex> lock(m_);
-        const Lane &lane = lanes_[chip];
-        if (lane.detached)
-            return std::make_unique<ReplaySource>(*lane.replay);
-        std::vector<SplitEntry> queued;
-        for (std::size_t i = 0; i < lane.size; ++i)
-            queued.push_back(
-                lane.fifo[(lane.head + i) % kSplitFifoCapacity]);
-        return std::make_unique<ReplaySource>(trace_, std::move(queued),
-                                              cursor_, chip);
-    }
-
     /** Packets the shared cursor drew. Call after every chip is done. */
     std::uint64_t drawn() const { return drawn_; }
 
@@ -250,8 +253,8 @@ class CardSplit
             lane.head = (lane.head + 1) % kSplitFifoCapacity;
         }
         queued.push_back({std::move(overflow), cursor_.arrival()});
-        lane.replay = std::make_unique<ReplaySource>(
-            trace_, std::move(queued), cursor_, chip);
+        lane.replay = std::make_unique<ReplaySource>(std::move(queued),
+                                                     cursor_, chip);
         lane.detached = true;
         lane.fifo.clear();
         lane.fifo.shrink_to_fit();
@@ -296,9 +299,7 @@ class ChipShare final : public traffic::PacketSource
 
     std::unique_ptr<traffic::PacketSource> clone() const override
     {
-        if (replay_)
-            return replay_->clone();
-        return split_.snapshot(chip_);
+        panic("a chip's share of the card split is not cloneable");
     }
 
     /** Packets this chip's private replay drew (0 if never detached). */
@@ -335,11 +336,19 @@ std::vector<std::uint64_t>
 cardAssignCounts(const net::TraceConfig &trace, std::int64_t gapCycles,
                  const CardConfig &card, std::uint64_t numPackets)
 {
-    SplitCursor cursor(trace, gapCycles, card.dispatch, card.chips);
     std::vector<std::uint64_t> counts(card.chips, 0);
-    net::Packet pkt;
-    for (std::uint64_t s = 0; s < numPackets; ++s)
-        ++counts[cursor.draw(pkt)];
+    if (dispatchReadsPackets(card.dispatch)) {
+        SplitCursor cursor(trace, gapCycles, card.dispatch, card.chips);
+        net::Packet pkt;
+        for (std::uint64_t s = 0; s < numPackets; ++s)
+            ++counts[cursor.draw(pkt)];
+    } else {
+        // The placement never reads the packet: skip drawing the trace.
+        CardDispatch dispatch(card.dispatch, card.chips);
+        const net::Packet blank;
+        for (std::uint64_t s = 0; s < numPackets; ++s)
+            ++counts[dispatch.assign(blank)];
+    }
     return counts;
 }
 
@@ -375,26 +384,18 @@ runCard(const core::AppFactory &factory,
 
     const unsigned jobs = resolveCardJobs(card.cardJobs, card.chips);
 
-    // With shared DRAM the chips interact, so every chip needs its
-    // own blockable thread and the fabric's tokens do the throttling;
-    // without it the chips are independent jobs on a plain pool.
-    std::unique_ptr<DramFabric> fabric;
-    std::vector<ChipDramPort> ports(card.chips);
-    if (dramOn) {
-        fabric = std::make_unique<DramFabric>(
-            card.dram, card.chips, jobs,
-            cyclesToQuanta(card.dram.rowHitCycles));
-        for (unsigned c = 0; c < card.chips; ++c)
-            ports[c].bind(fabric.get(), c);
-    }
-
+    // Every chip runs on its own fiber, `jobs` workers switching
+    // between them. With shared DRAM the fabric's tokens decide which
+    // chips run and suspend a chip until its commit turn; without it
+    // the chips share nothing, and each runs to its end once started.
     CardRunResult result;
     result.chips.resize(card.chips);
     CardSplit split(trace, npuBase.arrivalGapCycles, card.dispatch,
                     card.chips);
     std::vector<std::uint64_t> replayDrawn(card.chips, 0);
-    const WorkStealingPool pool(dramOn ? card.chips : jobs);
-    pool.run(card.chips, [&](std::size_t job) {
+    std::unique_ptr<DramFabric> fabric;
+    std::vector<ChipDramPort> ports(card.chips);
+    FiberScheduler fibers(card.chips, [&](std::size_t job) {
         const unsigned c = static_cast<unsigned>(job);
         core::ExperimentConfig cc = base;
         cc.numPackets = counts[c];
@@ -405,7 +406,7 @@ runCard(const core::AppFactory &factory,
         npu::ChipEnv env;
         env.source = &source;
         env.engineSaltBase = c * npuBase.peCount;
-        if (dramOn) {
+        if (fabric) {
             env.dram = &ports[c];
             env.dramSalt =
                 static_cast<std::uint64_t>(c) * base.processor.memBytes;
@@ -413,16 +414,28 @@ runCard(const core::AppFactory &factory,
             env.progress = [port](Quanta bound) {
                 port->publish(bound);
             };
-            fabric->start(c);
         }
         result.chips[c] =
             npu::runChipStream(factory, cc, npuBase, golden, trial, env);
-        if (dramOn)
+        if (fabric)
             fabric->finish(c);
         replayDrawn[c] = source.replayDrawn();
     });
+    if (dramOn) {
+        fabric = std::make_unique<DramFabric>(
+            card.dram, card.chips, jobs,
+            cyclesToQuanta(card.dram.rowHitCycles), fibers);
+        for (unsigned c = 0; c < card.chips; ++c)
+            ports[c].bind(fabric.get(), c);
+    } else {
+        for (unsigned c = 0; c < card.chips; ++c)
+            fibers.ready(c);
+    }
+    fibers.run(jobs);
 
-    result.split.generated = base.numPackets + split.drawn();
+    result.split.generated =
+        (dispatchReadsPackets(card.dispatch) ? base.numPackets : 0) +
+        split.drawn();
     for (const std::uint64_t n : replayDrawn)
         result.split.generated += n;
     result.split.detached = split.detached();

@@ -9,7 +9,11 @@
  * the card-wide trace to a chip. The split is feedback-free — the
  * "queue depth" the shortest policy sees is each chip's total
  * assigned count, not a live occupancy — so the assignment is a pure
- * function of the trace. runCard generates it once: one shared
+ * function of the trace. Each chip's packet count comes from a
+ * counting pre-pass (cardAssignCounts); rr and shortest never read
+ * the packet they place, so for them the pre-pass runs the card
+ * dispatcher alone, and only flow draws the trace for it. runCard
+ * generates the split itself once: one shared
  * source and card dispatcher sit behind a mutex, and a chip that
  * needs a packet advances them until one of its own appears, parking
  * every other chip's packet (global sequence number and arrival time
@@ -20,8 +24,8 @@
  * dispatcher state taken just after the overflowing packet and
  * replays the global stream privately from there, keeping only its
  * own packets. Memory stays O(chips x capacity + one source per
- * detached chip) however the chips' progress skews (serial chips on
- * the pool, a lopsided flow split). Control-plane churn streams
+ * detached chip) however the chips' progress skews (chips that run
+ * one after another with the DRAM model off, a lopsided flow split). Control-plane churn streams
  * carry no packet-count state, so every chip replays the identical
  * global update stream (the control plane is a broadcast), drained
  * against the global sequence numbers it actually processes.
@@ -34,13 +38,17 @@
  * one-chip card with the DRAM model off is bit-identical to the chip
  * model alone.
  *
- * Parallelism (--card-jobs). Chips advance concurrently, one thread
- * per chip, throttled to the resolved job count by the fabric's
- * execution tokens; DRAM commits are admitted in deterministic
- * (time, chip) order, so results are byte-identical at every job
- * count — the same contract --chip-jobs honours one level down.
- * With the DRAM model off the chips share nothing and simply fan
- * out on a worker pool.
+ * Parallelism (--card-jobs). Each chip runs on its own user-space
+ * fiber (common/fiber.hh), and the resolved job count of OS workers
+ * switches between them; at one job the only worker is the calling
+ * thread. With the DRAM model on, the fabric's execution tokens pick
+ * which chips run, and a chip waiting for its commit turn suspends
+ * in user space — no kernel hand-off — while another chip runs on
+ * its worker. DRAM commits are admitted in deterministic (time, chip)
+ * order, so results are byte-identical at every job count — the same
+ * contract --chip-jobs honours one level down. With the DRAM model
+ * off the chips share nothing: every fiber is ready at once and runs
+ * to its end.
  */
 
 #ifndef CLUMSY_LINECARD_CARD_HH
@@ -71,7 +79,7 @@ struct CardConfig
     dram::DramConfig dram;
 
     /**
-     * Worker threads for inter-chip parallelism: how many chips may
+     * OS workers the chips' fibers share: how many chips may
      * simulate at once. 1 = serial (the default); 0 = the machine's
      * hardware default. Byte-identical results at every value.
      */
@@ -129,11 +137,14 @@ constexpr std::size_t kSplitFifoCapacity = 64;
 /**
  * How one run's packet split went: host-side counters that no output
  * prints (they do not depend on the modelled run alone — which chips
- * detach follows the order the chip threads ask for packets in).
+ * detach follows the order the chips ask for packets in).
  */
 struct CardSplitStats
 {
-    /** Packets drawn from any source: pre-pass, shared pass, replays. */
+    /**
+     * Packets drawn from any source: the flow pre-pass, the shared
+     * pass and the replays.
+     */
     std::uint64_t generated = 0;
 
     /** Chips that left the shared split for a private replay. */
@@ -198,7 +209,8 @@ CardExperimentResult runCardExperiment(const core::AppFactory &factory,
 /**
  * The per-chip packet counts the card dispatcher produces for
  * @p numPackets packets — the counting pre-pass runCard() sizes each
- * chip's run with. Exposed for the split-coverage tests.
+ * chip's run with. Draws the trace only for the flow policy. Exposed
+ * for the split-coverage tests.
  */
 std::vector<std::uint64_t> cardAssignCounts(const net::TraceConfig &trace,
                                             std::int64_t gapCycles,

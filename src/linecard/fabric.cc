@@ -8,25 +8,31 @@ namespace clumsy::linecard
 {
 
 DramFabric::DramFabric(const dram::DramConfig &config, unsigned chips,
-                       unsigned tokens, Quanta flatQuanta)
+                       unsigned tokens, Quanta flatQuanta,
+                       FiberScheduler &fibers)
     : model_(config),
       flat_(flatQuanta),
       tokens_(std::max(1u, tokens)),
       bound_(chips, 0),
       lastCommit_(chips, 0),
       done_(chips, 0),
-      wait_(chips, Wait::None),
-      cv_(chips)
+      wait_(chips, Wait::Start),
+      fibers_(fibers)
 {
     CLUMSY_ASSERT(chips >= 1, "fabric needs at least one chip");
+    const std::lock_guard<std::mutex> lk(m_);
+    grantLocked();
 }
 
 void
-DramFabric::awaitGrant(std::unique_lock<std::mutex> &lk, unsigned chip,
-                       Wait why)
+DramFabric::awaitGrant(std::unique_lock<std::mutex> &lk, unsigned chip)
 {
-    wait_[chip] = why;
-    cv_[chip].wait(lk, [&] { return wait_[chip] == Wait::None; });
+    wait_[chip] = Wait::Commit;
+    lk.unlock();
+    fibers_.suspend(chip);
+    lk.lock();
+    CLUMSY_ASSERT(wait_[chip] == Wait::None,
+                  "chip %u resumed without a token", chip);
 }
 
 void
@@ -43,28 +49,16 @@ DramFabric::grantLocked()
                 next = c;
         if (next < chips && !safeLocked(next, lastCommit_[next]))
             next = chips;
-        // 2. Otherwise the lowest-index chip waiting in start().
+        // 2. Otherwise the lowest-index chip not yet started.
         for (unsigned c = 0; next == chips && c < chips; ++c)
             if (wait_[c] == Wait::Start)
                 next = c;
         if (next == chips)
-            return; // the token stays free for the next start()
+            return; // the token stays free
         wait_[next] = Wait::None;
         ++running_;
-        cv_[next].notify_one();
+        fibers_.ready(next);
     }
-}
-
-void
-DramFabric::start(unsigned chip)
-{
-    std::unique_lock<std::mutex> lk(m_);
-    CLUMSY_ASSERT(chip < bound_.size(), "chip index out of range");
-    // A free token means no one is eligible to wait for it.
-    if (running_ < tokens_)
-        ++running_;
-    else
-        awaitGrant(lk, chip, Wait::Start);
 }
 
 void
@@ -107,13 +101,13 @@ DramFabric::request(unsigned chip, std::uint64_t addr, Quanta reqTime)
     if (safeLocked(chip, p)) {
         grantLocked(); // the raised bound may admit a waiter
     } else {
-        // Lend our execution token while blocked so the chips we
+        // Lend our execution token while suspended so the chips we
         // wait on can run; a grant hands one back once our commit is
         // next. Safety is monotone (bounds only rise, done only
-        // sets), so it still holds when we wake.
+        // sets), so it still holds when we resume.
         --running_;
         grantLocked();
-        awaitGrant(lk, chip, Wait::Commit);
+        awaitGrant(lk, chip);
         CLUMSY_ASSERT(safeLocked(chip, p),
                       "commit token granted out of (p, chip) order");
     }

@@ -14,48 +14,51 @@
  * future request times (the chip step loop publishes the minimum
  * alive-engine data time every step, and any request an engine issues
  * mid-packet is at or after the time its packet started), so the
- * admitted order is a total order that does not depend on thread
- * scheduling: the DramModel's bank state evolves identically at every
+ * admitted order is a total order that does not depend on how the
+ * chips are scheduled: the DramModel's bank state evolves identically at every
  * --card-jobs value, which is the whole byte-identity argument.
  *
- * Parallelism is throttled by execution tokens, not by thread count:
- * the card runs one thread per chip (the protocol blocks threads, so
- * every chip must own one), and at most `tokens` of them execute
- * simulation work at any moment. A chip waiting for its commit turn
- * releases its token so some other chip can advance and raise its
- * bound; the waiter with the globally smallest (p, chip) among
- * unfinished chips is always admissible, so the fabric is
+ * Execution. Every chip runs its step loop on its own fiber
+ * (common/fiber.hh), and the fibers share `tokens` OS workers; at
+ * one token the only worker is the thread that runs the card. A chip
+ * holds an execution token while it simulates, so at most `tokens`
+ * chips run at once. A chip waiting for its commit turn records the
+ * wait, releases its token and switches back to the scheduler, deep
+ * inside its L2-miss path; another chip then runs on that worker and
+ * raises its bound. The waiter with the globally smallest (p, chip)
+ * among unfinished chips is always admissible, so the fabric is
  * deadlock-free for any token count >= 1.
  *
- * Token grants. Tokens pass hand to hand; no wakeup is broadcast.
- * Each chip sleeps on its own condition variable and wakes only when
- * a token is granted to it. Whenever a token is free — a chip lends
- * its token to wait for its commit turn, or finishes — or a bound
- * rises while one is free, the fabric grants it to, in order:
+ * Token grants. A token goes to a named chip, never to whoever wakes
+ * first. Whenever a token is free — a chip releases its token to wait
+ * for its commit turn, or finishes — or a bound rises while one is
+ * free, the fabric grants it to, in order:
  *  1. the commit waiter with the smallest (p, chip), if it is safe
  *     (it is the only waiter that can be: every other waiter's p is
  *     above its published bound);
- *  2. otherwise the lowest-index chip waiting in start().
- * With neither, the token stays free and the next start() takes it.
- * This cannot deadlock: with every unfinished chip blocked and a
- * token free, either some chip waits in start() (rule 2 serves it)
- * or every unfinished chip is a commit waiter, and then the smallest
- * (p, chip) among them bounds every other chip from below — it is
- * safe, and rule 1 serves it. Safety is monotone (bounds only rise,
- * finished chips stay finished), so a granted commit stays
- * admissible. The grant choice only decides which thread runs next;
- * the (p, chip) commit order, and so every result byte, is fixed by
- * the bounds alone.
+ *  2. otherwise the lowest-index chip that has not started yet.
+ * With neither, the token stays free. A granted chip goes onto the
+ * scheduler's ready list, and the next free worker switches to it.
+ * Every chip starts out waiting to start, so the constructor grants
+ * the first `tokens` chips. This cannot deadlock: with every
+ * unfinished chip waiting and a token free, either some chip has not
+ * started (rule 2 serves it) or every unfinished chip is a commit
+ * waiter, and then the smallest (p, chip) among them bounds every
+ * other chip from below — it is safe, and rule 1 serves it. Safety is
+ * monotone (bounds only rise, finished chips stay finished), so a
+ * granted commit stays admissible. The grant choice only decides
+ * which chip runs next; the (p, chip) commit order, and so every
+ * result byte, is fixed by the bounds alone.
  */
 
 #ifndef CLUMSY_LINECARD_FABRIC_HH
 #define CLUMSY_LINECARD_FABRIC_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
+#include "common/fiber.hh"
 #include "common/types.hh"
 #include "dram/dram.hh"
 
@@ -75,12 +78,12 @@ class DramFabric
      *                   L2 miss's latency (the row-hit time), which
      *                   request() subtracts so its return value is
      *                   pure extra stall.
+     * @param fibers     the chips' fibers, fiber c running chip c;
+     *                   the fabric makes each one ready when it
+     *                   grants it a token, the first `tokens` at once.
      */
     DramFabric(const dram::DramConfig &config, unsigned chips,
-               unsigned tokens, Quanta flatQuanta);
-
-    /** Acquire an execution token; blocks until one is free. */
-    void start(unsigned chip);
+               unsigned tokens, Quanta flatQuanta, FiberScheduler &fibers);
 
     /**
      * Raise @p chip's published bound: a monotone lower bound (chip
@@ -91,8 +94,9 @@ class DramFabric
 
     /**
      * Commit one DRAM line transfer for @p chip at
-     * p = max(@p reqTime, the chip's previous commit point), blocking
-     * until the commit is globally next in (p, chip) order. Returns
+     * p = max(@p reqTime, the chip's previous commit point), from the
+     * chip's fiber, suspending it until the commit is globally next
+     * in (p, chip) order. Returns
      * the stall beyond the flat penalty: completion - reqTime -
      * flatQuanta, always >= 0 because the model's cheapest access is
      * the row hit the flat penalty equals.
@@ -106,11 +110,11 @@ class DramFabric
     const dram::DramModel &model() const { return model_; }
 
   private:
-    /** What a chip's thread is blocked on, if anything. */
+    /** What a chip waits for, if anything. */
     enum class Wait : char
     {
-        None,   ///< running, granted, finished or not yet arrived
-        Start,  ///< in start(), for its first token
+        None,   ///< running, granted or finished
+        Start,  ///< not started: waits for its first token
         Commit, ///< in request(), for its turn and a token
     };
 
@@ -120,9 +124,12 @@ class DramFabric
     /** Hand every free token to the next eligible waiter (file doc). */
     void grantLocked();
 
-    /** Block @p chip until a token is granted to it. (lock held) */
-    void awaitGrant(std::unique_lock<std::mutex> &lk, unsigned chip,
-                    Wait why);
+    /**
+     * Record that @p chip waits for a commit token and switch to the
+     * scheduler until it is granted one. (lock held; released across
+     * the switch, since the chip may come back on another worker)
+     */
+    void awaitGrant(std::unique_lock<std::mutex> &lk, unsigned chip);
 
     dram::DramModel model_;
     Quanta flat_;
@@ -134,8 +141,8 @@ class DramFabric
     std::vector<char> done_;
     std::vector<Wait> wait_; ///< why each chip blocks; None once granted
 
+    FiberScheduler &fibers_;
     mutable std::mutex m_;
-    std::vector<std::condition_variable> cv_; ///< one per chip
 };
 
 /**

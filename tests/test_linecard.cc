@@ -2,9 +2,9 @@
  * @file
  * Tests of the line-card tier (src/linecard/): --card-jobs
  * byte-identity across workloads (including a mapped-fault +
- * control-churn cell), the fabric's token grants on idle and dying
- * chips, the one-chip anchor against the streaming chip
- * harness, dispatcher split invariants, the single-pass split's
+ * control-churn cell), the fabric's token grants to the chips'
+ * fibers on idle and dying chips, the one-chip anchor against the
+ * streaming chip harness, dispatcher split invariants, the single-pass split's
  * source clones, FIFO cap and detach path, metric merges,
  * shared-DRAM stat coherence, config validation and a faulty route
  * card whose bring-up dies.
@@ -23,6 +23,7 @@
 #include "linecard/card.hh"
 #include "npu/chip.hh"
 #include "npu/config.hh"
+#include "npu/dispatcher.hh"
 #include "sweep/sink.hh"
 #include "sweep/spec.hh"
 #include "traffic/traffic.hh"
@@ -146,14 +147,14 @@ TEST(LineCard, CardJobsAreByteIdenticalAcrossWorkloads)
 //
 // Each case runs the fabric at 1, 2, 3 and 8 tokens: serial, fewer
 // tokens than chips, a count that does not divide the chips, and one
-// token per chip. A lost or misdirected grant hangs the run (the CTest
-// TIMEOUT on this binary turns that into a failure) or shows up as a
-// byte difference.
+// token per chip. A lost grant leaves a chip suspended for good, and
+// the fiber scheduler panics once every worker is idle; a misdirected
+// one shows up as a byte difference.
 
 /**
- * More chips than packets: some chips get no packets at all, start()
- * and finish() at once, and every grant must still reach the chips
- * that do have work. Unbounded and bounded ingress FIFOs.
+ * More chips than packets: some chips get no packets at all and
+ * finish as soon as they are granted a token, and every grant must
+ * still reach the chips that do have work. Unbounded and bounded ingress FIFOs.
  */
 TEST(LineCard, ZeroPacketChipsAreByteIdenticalAcrossCardJobs)
 {
@@ -294,6 +295,22 @@ TEST(LineCard, AssignCountsPartitionTheTrace)
         if (policy != npu::DispatchPolicy::FlowHash) {
             EXPECT_LE(hi - lo, 1u);
         }
+
+        // rr and shortest count without drawing the trace; the counts
+        // must be the ones the trace-driven dispatcher produces.
+        const std::unique_ptr<traffic::PacketSource> src =
+            traffic::makeSource(trace, 0);
+        npu::Dispatcher disp(policy, card.chips);
+        std::vector<unsigned> depths(card.chips, 0);
+        const std::vector<char> alive(card.chips, 1);
+        std::vector<std::uint64_t> traced(card.chips, 0);
+        for (std::uint64_t s = 0; s < packets; ++s) {
+            const int chip = disp.choose(src->next(), depths, alive);
+            ASSERT_GE(chip, 0);
+            ++depths[static_cast<unsigned>(chip)];
+            ++traced[static_cast<unsigned>(chip)];
+        }
+        EXPECT_EQ(counts, traced);
     }
 }
 
@@ -392,9 +409,9 @@ TEST(LineCard, DetachedChipsAreByteIdenticalAcrossCardJobs)
 /**
  * The benchmark's 8-chip card (route, rr across chips, 8 DRAM banks,
  * card-jobs 1): the chips keep pace with each other, so no FIFO fills,
- * no chip detaches, and a run draws each packet twice — once in the
- * counting pre-pass and once in the shared pass — where a replay per
- * chip drew it nine times.
+ * no chip detaches, and a run draws each packet once, in the shared
+ * pass — the counting pre-pass of a count-based split draws no trace
+ * — where a replay per chip drew it nine times.
  */
 TEST(LineCard, BenchmarkCardSplitsInOnePass)
 {
@@ -416,7 +433,7 @@ TEST(LineCard, BenchmarkCardSplitsInOnePass)
                                           npuCfg, card, golden, 0);
         EXPECT_EQ(run.split.detached, 0u);
         EXPECT_LE(run.split.peakFifoDepth, kSplitFifoCapacity);
-        EXPECT_LE(run.split.generated, 2 * cfg.numPackets);
+        EXPECT_EQ(run.split.generated, cfg.numPackets);
         if (golden) {
             EXPECT_EQ(run.card.packetsProcessed,
                       static_cast<double>(cfg.numPackets));
